@@ -89,10 +89,10 @@ def _add_engine_arguments(parser):
 def _add_executor_arguments(group):
     group.add_argument(
         "--executor", default=None,
-        choices=("local", "steal", "socket"),
-        help="engine backend: 'local' process pool (default), "
-             "'steal' work-stealing deques, 'socket' a coordinator "
-             "that remote 'repro worker join' processes serve",
+        choices=("local", "socket"),
+        help="engine backend: 'local' process pool (default) or "
+             "'socket', a coordinator that remote 'repro worker join' "
+             "processes serve",
     )
     group.add_argument(
         "--bind", default="127.0.0.1:0", metavar="HOST:PORT",
@@ -799,7 +799,6 @@ def cmd_serve(args):
     config = ServiceConfig(
         host=args.host, port=args.port, tenants=tenants,
         cache=args.cache_dir, engine_jobs=args.jobs,
-        engine_executor=args.executor,
         max_running=args.max_running, max_queued=args.max_queued,
         metrics=True, drain_grace_s=args.drain_grace,
     )
@@ -1246,11 +1245,6 @@ def build_parser():
     p.add_argument("--jobs", type=_positive_int, default=1,
                    metavar="N",
                    help="engine worker processes per job (default 1)")
-    p.add_argument("--executor", default=None,
-                   choices=("local", "steal"),
-                   help="engine backend per job (default local; the "
-                        "socket backend needs a per-run coordinator "
-                        "and is CLI-only)")
     p.add_argument("--max-running", type=_positive_int, default=2,
                    metavar="N",
                    help="jobs running concurrently (default 2)")

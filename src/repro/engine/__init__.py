@@ -6,9 +6,10 @@ The engine is the execution substrate under the heavy experiment paths
 - :class:`Job` + :class:`ChildSeed` -- declarative work units whose
   per-job seeds come from ``numpy.random.SeedSequence.spawn``, so
   serial and parallel runs agree bit-for-bit;
-- :class:`Engine` -- a scheduler fanning jobs over a process pool with
-  chunking, per-job timeouts, bounded retry with backoff, and graceful
-  degradation to serial when workers die;
+- :class:`Engine` -- a scheduler streaming flat batches and dependency
+  graphs through one loop onto a process pool (or a socket cluster),
+  one job per task, with per-job timeouts, bounded retry with backoff,
+  and graceful degradation to serial when workers die;
 - :class:`ResultCache` -- a content-addressed on-disk cache keyed on
   function identity + params + seed + package version, making repeat
   figure/table/DSE runs near-instant;
@@ -89,7 +90,7 @@ _DEFAULTS = {
     "retries": 2,
     "backoff": 0.05,
     "hooks": None,
-    "executor": None,     # None/"local" | "steal" | "socket" | Executor
+    "executor": None,     # None/"local" | "socket" | Executor
 }
 _config = dict(_DEFAULTS)
 _default_engine = None

@@ -1,6 +1,6 @@
 """Pluggable execution backends for :class:`repro.engine.Engine`.
 
-Three backends ship in-tree, all implementing the same small
+Two backends ship in-tree, both implementing the same small
 :class:`~repro.engine.executors.base.Executor` contract:
 
 =========  =========================================  =================
@@ -8,13 +8,12 @@ spec       class                                      good for
 =========  =========================================  =================
 ``local``  :class:`~.local.LocalPoolExecutor`         one host
                                                       (the default)
-``steal``  :class:`~.stealing.WorkStealingExecutor`   skewed job costs
 ``socket`` :class:`~.socketcluster.                   many hosts via
            SocketClusterExecutor`                     ``repro worker
                                                       join``
 =========  =========================================  =================
 
-Select one with ``Engine(executor="steal")``,
+Select one with ``Engine(executor="socket")``,
 ``engine.configure(executor="socket")``, or ``--executor`` on the CLI.
 """
 
@@ -30,12 +29,9 @@ from repro.engine.executors.local import LocalPoolExecutor  # noqa: F401
 from repro.engine.executors.socketcluster import (  # noqa: F401
     SocketClusterExecutor,
 )
-from repro.engine.executors.stealing import (  # noqa: F401
-    WorkStealingExecutor,
-)
 
 __all__ = [
     "Executor", "ExecutorBroken", "LocalPoolExecutor",
-    "SocketClusterExecutor", "WorkStealingExecutor", "execute_payload",
-    "executor_names", "make_executor", "register_executor",
+    "SocketClusterExecutor", "execute_payload", "executor_names",
+    "make_executor", "register_executor",
 ]

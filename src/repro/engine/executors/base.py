@@ -6,8 +6,9 @@ deliberately tiny so backends can range from an in-process pool to a
 socket cluster:
 
 - :meth:`Executor.submit` takes an opaque ``task_id``, a payload of
-  ``(fn, params, seed, label, cache_key)`` tuples, and an optional obs
-  context, and returns immediately;
+  ``(fn, params, seed, label, cache_key)`` tuples (the scheduler sends
+  one job per task), and an optional obs context, and returns
+  immediately;
 - :meth:`Executor.next_result` blocks up to ``timeout`` seconds and
   returns one finished ``(task_id, outcomes, obs_payload)`` triple (or
   ``None`` on timeout), in *completion* order -- the scheduler
@@ -76,17 +77,13 @@ class Executor:
 
     Lifecycle: construct → :meth:`start` (idempotent) → any number of
     :meth:`submit`/:meth:`next_result` cycles → :meth:`shutdown`.  A
-    single executor instance may serve many ``Engine.run`` calls; the
+    single executor instance may serve many engine runs; the
     scheduler namespaces task ids per run so late results from an
     abandoned (cancelled / timed-out) run are discarded on arrival.
     """
 
-    #: Spec name (``local`` / ``steal`` / ``socket``).
+    #: Spec name (``local`` / ``socket``).
     name = "?"
-    #: True when the backend wants cache keys in payload entries even
-    #: if the parent engine itself runs cache-less (remote workers keep
-    #: their own cache tier keyed by the same digests).
-    wants_cache_keys = False
 
     def start(self):
         """Bring up workers; idempotent."""
@@ -113,10 +110,6 @@ class Executor:
         """Current worker count (may change at runtime for clusters)."""
         return 1
 
-    def preferred_chunk_size(self, njobs, workers):
-        """Jobs per payload when the engine has no explicit setting."""
-        return max(1, -(-njobs // (max(1, workers) * 4)))
-
     def describe(self):
         """Stats snapshot for ``repro engine stats`` / ``/v1/stats``."""
         return {"executor": self.name, "workers": self.workers}
@@ -136,7 +129,7 @@ def make_executor(spec, **options):
     """Build an executor from a spec.
 
     ``spec`` is an :class:`Executor` instance (returned as-is), a
-    registered name (``local`` / ``steal`` / ``socket``), or ``None``
+    registered name (``local`` / ``socket``), or ``None``
     (the local default).  Unknown names raise ``ValueError`` listing
     the registered backends.
     """

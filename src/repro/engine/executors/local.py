@@ -1,18 +1,12 @@
 """The default backend: a local :class:`ProcessPoolExecutor`.
 
-This is the pre-refactor engine behavior, preserved exactly: payloads
-go to ``pool.submit(execute_payload, ...)`` and results come back
-through futures.  Completion order is surfaced through
-``add_done_callback`` when the pool's futures support it; with a
-minimal future (tests substitute fakes exposing only ``result()``),
-the backend falls back to awaiting submissions in order, which is
-also correct -- just less overlapped.
+Each task goes to ``pool.submit(execute_payload, ...)``; a done
+callback on its future queues the task id, so :meth:`next_result`
+hands results back in completion order.
 """
 
 import queue
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.engine.executors.base import (
@@ -21,9 +15,6 @@ from repro.engine.executors.base import (
     execute_payload,
     register_executor,
 )
-
-#: Poll slice while waiting on a future without completion callbacks.
-_WAIT_SLICE_S = 0.05
 
 
 def _default_pool_factory(workers):
@@ -41,7 +32,6 @@ class LocalPoolExecutor(Executor):
         self._pool = None
         self._futures = {}        # task_id -> future
         self._done = queue.Queue()  # task_ids, in completion order
-        self._inorder = deque()   # task_ids lacking done callbacks
 
     @property
     def workers(self):
@@ -61,15 +51,9 @@ class LocalPoolExecutor(Executor):
                 f"could not submit to pool: {exc}", lost=[task_id]
             ) from exc
         self._futures[task_id] = future
-        callback = getattr(future, "add_done_callback", None)
-        if callable(callback):
-            callback(lambda _f, t=task_id: self._done.put(t))
-        else:
-            self._inorder.append(task_id)
+        future.add_done_callback(lambda _f, t=task_id: self._done.put(t))
 
     def next_result(self, timeout):
-        if self._inorder:
-            return self._next_inorder(timeout)
         try:
             task_id = self._done.get(timeout=timeout)
         except queue.Empty:
@@ -83,32 +67,11 @@ class LocalPoolExecutor(Executor):
             raise self._broken(exc, also_lost=[task_id]) from exc
         return task_id, outcomes, obs_payload
 
-    def _next_inorder(self, timeout):
-        """Head-of-line wait for pools whose futures lack callbacks."""
-        task_id = self._inorder[0]
-        future = self._futures[task_id]
-        try:
-            outcomes, obs_payload = future.result(timeout=timeout)
-        except FutureTimeoutError:
-            return None
-        except TypeError:
-            # Minimal fakes take no timeout argument at all.
-            try:
-                outcomes, obs_payload = future.result()
-            except (BrokenProcessPool, OSError) as exc:
-                raise self._broken(exc) from exc
-        except (BrokenProcessPool, OSError) as exc:
-            raise self._broken(exc) from exc
-        self._inorder.popleft()
-        self._futures.pop(task_id, None)
-        return task_id, outcomes, obs_payload
-
     def _broken(self, exc, also_lost=()):
         """A dead pool loses every outstanding task; drop the pool so
         the next :meth:`start` builds a fresh one."""
         lost = list(also_lost) + list(self._futures)
         self._futures.clear()
-        self._inorder.clear()
         self._done = queue.Queue()
         self.shutdown()
         return ExecutorBroken(
@@ -120,8 +83,6 @@ class LocalPoolExecutor(Executor):
         if pool is not None:
             try:
                 pool.shutdown(wait=False, cancel_futures=True)
-            except TypeError:  # fakes with a bare shutdown()
-                pool.shutdown()
             except Exception:
                 pass
 

@@ -124,7 +124,6 @@ class SocketClusterExecutor(Executor):
     """Coordinator for ``repro worker join`` workers."""
 
     name = "socket"
-    wants_cache_keys = True
 
     def __init__(self, bind="127.0.0.1:0", min_workers=1,
                  worker_wait_s=60.0, cache=None, workers=None,
@@ -182,9 +181,6 @@ class SocketClusterExecutor(Executor):
     def workers(self):
         with self._lock:
             return len(self._workers)
-
-    def preferred_chunk_size(self, njobs, workers):
-        return 1
 
     # -- accept / per-worker handler ----------------------------------
 

@@ -12,8 +12,8 @@ Child seeds are derived with the :class:`numpy.random.SeedSequence`
 spawning protocol: the ``i``-th job of a stage seeded with ``s`` draws
 from ``SeedSequence(entropy=s, spawn_key=(i,))``, which is exactly the
 ``i``-th child of ``SeedSequence(s).spawn(n)``.  The derivation depends
-only on ``(s, i)`` -- never on execution order, worker count, or
-chunking -- so serial and parallel runs agree bit-for-bit.
+only on ``(s, i)`` -- never on execution order or worker count --
+so serial and parallel runs agree bit-for-bit.
 """
 
 from dataclasses import dataclass, field

@@ -49,7 +49,7 @@ class EngineMetrics:
     degraded: bool = False
     wall_s: float = 0.0
     workers: int = 1
-    #: Active executor backend (``local`` / ``steal`` / ``socket``).
+    #: Active executor backend (``local`` / ``socket``).
     executor: str = "local"
     stages: List[StageMetrics] = field(default_factory=list)
 

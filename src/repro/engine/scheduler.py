@@ -1,33 +1,34 @@
 """The experiment scheduler: fan jobs out, survive failures, stay exact.
 
-Since the pluggable-executor refactor the scheduler is one of three
-layers:
+The scheduler is one of three layers:
 
 - **this module** decides *what* runs and in *which order* -- flat
   batches through :meth:`Engine.run`, dependency graphs through
-  :meth:`Engine.submit` + :meth:`Engine.run_graph`;
+  :meth:`Engine.submit` + :meth:`Engine.run_graph`.  Both go through
+  one loop: a flat batch is a graph without edges;
 - an :mod:`executor <repro.engine.executors>` decides *where* --
-  ``local`` (process pool, the default), ``steal`` (work-stealing
-  deques for skewed costs), or ``socket`` (a coordinator that
-  ``repro worker join`` workers attach to);
+  ``local`` (process pool, the default) or ``socket`` (a coordinator
+  that ``repro worker join`` workers attach to);
 - the :class:`~repro.engine.cache.ResultCache` remembers results by
-  content address, now sharded with a shared index tier.
+  content address, sharded with a shared index tier.
 
-Execution strategy for one :meth:`Engine.run`:
+Execution strategy for one run:
 
 1. every job is first looked up in the result cache (when enabled);
-2. misses run either inline (``jobs <= 1``) or on the executor,
-   chunked to amortize IPC, with an optional per-job timeout;
-3. a job that raises inside a worker is retried *serially* with
+2. jobs whose dependencies have finished stream into the executor,
+   one job per task, with an optional per-job timeout; when at most
+   one job is left to compute (or ``jobs <= 1`` on the local backend)
+   the jobs run inline and no pool starts;
+3. each result is cached as soon as it lands;
+4. a job that raises inside a worker is retried *serially* with
    exponential backoff plus deterministic-seeded jitter (bounded by
    ``retries``);
-4. a broken executor or a timeout degrades the run to serial for the
+5. a broken executor or a timeout degrades the run to serial for the
    remaining jobs rather than failing it.
 
-:meth:`Engine.run_graph` streams nodes whose dependencies have
-finished straight into the executor, so independent branches overlap;
-a node that exhausts its retries marks every transitive dependent
-``cancelled`` without running it, and unrelated branches continue.
+A job that exhausts its retries marks every transitive dependent
+``cancelled`` without running it; unrelated jobs continue, and the
+first :class:`EngineJobError` is raised once the run has drained.
 
 Because every job carries its own :class:`~repro.engine.job.ChildSeed`
 and results are reassembled in submission order, none of the above
@@ -43,11 +44,7 @@ from collections import deque
 
 from repro import obs
 from repro.engine.cache import ResultCache, job_cache_key
-from repro.engine.executors.base import (
-    ExecutorBroken,
-    execute_payload,
-    make_executor,
-)
+from repro.engine.executors.base import ExecutorBroken, make_executor
 from repro.engine.graph import (
     CACHED,
     CANCELLED,
@@ -68,10 +65,6 @@ from repro.engine.metrics import (
     StageMetrics,
     persist_last_run,
 )
-
-#: Back-compat alias: the worker-side entry point moved to
-#: :mod:`repro.engine.executors.base`.
-_execute_chunk = execute_payload
 
 
 class EngineJobError(RuntimeError):
@@ -99,7 +92,7 @@ _CANCEL_POLL_S = 0.2
 
 
 def live_engines():
-    """Engines currently executing a :meth:`Engine.run`."""
+    """Engines currently executing a run."""
     return [engine for engine in list(_LIVE_ENGINES) if engine.running]
 
 
@@ -149,26 +142,22 @@ class Engine:
         ready :class:`~repro.engine.cache.ResultCache`.
     timeout:
         Optional per-job seconds; enforced while waiting on worker
-        results (a timed-out chunk degrades the run to serial).
+        results (a timed-out job degrades the run to serial).
     retries / backoff:
         Failed jobs are re-run up to ``retries`` more times, sleeping
         ``backoff * 2**attempt`` seconds (with deterministic jitter)
         between attempts.
-    chunk_size:
-        Jobs per worker submission; defaults to the executor's
-        preference (``n / (4 * workers)`` for the local pool, ``1``
-        for stealing/socket backends).
     hooks:
         Iterable of ``hook(event, payload)`` progress callbacks.
     executor:
         Backend spec: ``None``/``"local"`` (process pool),
-        ``"steal"``, ``"socket"``, or a ready
+        ``"socket"``, or a ready
         :class:`~repro.engine.executors.base.Executor` instance.
     """
 
     def __init__(self, jobs=1, cache=None, timeout=None, retries=2,
-                 backoff=0.05, chunk_size=None, hooks=None,
-                 pool_factory=None, executor=None):
+                 backoff=0.05, hooks=None, pool_factory=None,
+                 executor=None):
         self.jobs = max(1, int(jobs))
         if cache is True:
             cache = ResultCache()
@@ -178,7 +167,6 @@ class Engine:
         self.timeout = timeout
         self.retries = max(0, int(retries))
         self.backoff = backoff
-        self.chunk_size = chunk_size
         self.hooks = HookSet(hooks)
         self.hooks.add(obs.engine_bridge())
         self._pool_factory = pool_factory
@@ -249,13 +237,13 @@ class Engine:
     # -- public API ----------------------------------------------------
 
     def cancel(self):
-        """Ask the engine to stop at the next job/chunk boundary.
+        """Ask the engine to stop at the next job boundary.
 
-        Safe from any thread or a signal handler.  An in-flight
-        :meth:`run` raises :class:`EngineCancelled` promptly (blocked
-        parallel waits poll the flag); a cancelled engine refuses
-        further runs until :meth:`uncancel`.  Returns True when this
-        call flipped the flag (False when already cancelled).
+        Safe from any thread or a signal handler.  An in-flight run
+        raises :class:`EngineCancelled` promptly (blocked parallel
+        waits poll the flag); a cancelled engine refuses further runs
+        until :meth:`uncancel`.  Returns True when this call flipped
+        the flag (False when already cancelled).
         """
         already = self._cancel.is_set()
         self._cancel.set()
@@ -273,7 +261,7 @@ class Engine:
 
     @property
     def running(self):
-        """True while a :meth:`run` is executing (any thread)."""
+        """True while a run is executing (any thread)."""
         return self._running
 
     def _check_cancelled(self):
@@ -281,95 +269,18 @@ class Engine:
             raise EngineCancelled("engine run cancelled")
 
     def run(self, jobs, stage="run"):
-        """Run every job; return results in submission order."""
-        jobs = [job if isinstance(job, Job) else Job(*job)
-                for job in jobs]
-        started = time.perf_counter()
-        stage_metrics = StageMetrics(stage=stage, jobs=len(jobs))
-        self.metrics.jobs_submitted += len(jobs)
-        self._check_cancelled()
-        self._running = True
+        """Run every job; return results in submission order.
 
-        results = [None] * len(jobs)
-        try:
-            with obs.span(f"engine.{stage}", jobs=len(jobs)):
-                pending = []
-                keys = [None] * len(jobs)
-                for index, job in enumerate(jobs):
-                    if self.cache is not None and job.cached:
-                        keys[index] = job_cache_key(job)
-                        hit, value = self.cache.get(
-                            _fn_name(job), keys[index]
-                        )
-                        if hit:
-                            results[index] = value
-                            self.metrics.cache_hits += 1
-                            self.metrics.jobs_completed += 1
-                            stage_metrics.cache_hits += 1
-                            self.hooks.emit("job_done", {
-                                "label": job.label, "fn": _fn_name(job),
-                                "status": "cached", "attempts": 0,
-                                "elapsed_s": 0.0, "where": "cache",
-                            })
-                            continue
-                        self.metrics.cache_misses += 1
-                    pending.append(index)
-
-                if pending:
-                    # A non-local backend is worth engaging even at
-                    # jobs=1 (its workers live elsewhere); the local
-                    # pool is not.
-                    if ((self.jobs <= 1
-                         and self.executor_name == "local")
-                            or len(pending) == 1):
-                        self._run_serial(jobs, pending, results)
-                    else:
-                        self._run_parallel(jobs, pending, results, keys)
-                    for index in pending:
-                        if self.cache is not None and jobs[index].cached:
-                            self.cache.put(
-                                _fn_name(jobs[index]), keys[index],
-                                results[index], meta={
-                                    "label": jobs[index].label,
-                                    "seed": (jobs[index].seed.token()
-                                             if jobs[index].seed
-                                             else None),
-                                },
-                            )
-                    stage_metrics.computed = len(pending)
-
-                self.hooks.emit("stage_done", {
-                    "stage": stage, "jobs": len(jobs),
-                    "cache_hits": stage_metrics.cache_hits,
-                    "wall_s": time.perf_counter() - started,
-                })
-        finally:
-            # Runs on success, failure, *and* cancellation: the metrics
-            # record and the last-run snapshot must reflect what really
-            # happened, so an interrupted campaign never leaves a
-            # half-written or stale `.repro-state/` behind.  The
-            # snapshot goes to the state directory no matter how (or
-            # whether) results were cached, so `repro engine stats`
-            # reflects --no-cache runs too; a copy lands next to the
-            # cache for backward compatibility with cache-rooted
-            # readers.
-            self._running = False
-            if self._cancel.is_set():
-                # A cancelled executor may hold arbitrarily stale
-                # work; drop it so the next run starts clean.
-                self.close()
-            stage_metrics.wall_s = time.perf_counter() - started
-            self.metrics.wall_s += stage_metrics.wall_s
-            self.metrics.stages.append(stage_metrics)
-            persist_last_run(
-                self.metrics,
-                self.cache.root if self.cache is not None else None,
-                executor=self.describe_executor(),
-            )
-        return results
-
-    def run_one(self, job):
-        return self.run([job], stage=job.label)[0]
+        A flat batch is a graph without edges: it runs through the
+        same loop as :meth:`run_graph` but leaves the nodes pending
+        from :meth:`submit` alone.  Each result is cached as it lands,
+        and the first :class:`EngineJobError` is raised only after
+        every other job has run, so a failed or cancelled batch keeps
+        what it finished.
+        """
+        nodes = [_keyed_node(index, job, [])
+                 for index, job in enumerate(jobs)]
+        return self._run_nodes(nodes, stage)
 
     # -- graph API -----------------------------------------------------
 
@@ -383,20 +294,14 @@ class Engine:
         :meth:`run_graph` call runs everything submitted since the
         last one.
         """
-        job = job if isinstance(job, Job) else Job(*job)
-        node = JobNode(self._graph_seq, job, normalize_deps(deps))
+        node = _keyed_node(self._graph_seq, job, normalize_deps(deps))
         self._graph_seq += 1
         for dep in node.dep_nodes():
             if dep.status in (FAILED, CANCELLED):
                 raise GraphError(
                     f"dependency {dep.job.label!r} already "
-                    f"{dep.status}; cannot submit {job.label!r}"
+                    f"{dep.status}; cannot submit {node.job.label!r}"
                 )
-        try:
-            base_key = job_cache_key(job)
-        except TypeError:
-            base_key = None
-        node.key = node_cache_key(base_key, node.deps)
         self._graph.append(node)
         return node
 
@@ -414,6 +319,11 @@ class Engine:
         nodes, self._graph = self._graph, []
         if not nodes:
             return []
+        return self._run_nodes(nodes, stage, raise_on_error)
+
+    # -- the one scheduling loop ---------------------------------------
+
+    def _run_nodes(self, nodes, stage, raise_on_error=True):
         started = time.perf_counter()
         stage_metrics = StageMetrics(stage=stage, jobs=len(nodes))
         self.metrics.jobs_submitted += len(nodes)
@@ -447,7 +357,6 @@ class Engine:
                             "label": node.job.label,
                             "seed": (node.job.seed.token()
                                      if node.job.seed else None),
-                            "graph": True,
                         },
                     )
             if not announced:
@@ -497,8 +406,7 @@ class Engine:
                         announced=True)
 
         try:
-            with obs.span(f"engine.{stage}", jobs=len(nodes),
-                          graph=True):
+            with obs.span(f"engine.{stage}", jobs=len(nodes)):
                 for node in nodes:
                     for dep in node.dep_nodes():
                         if dep.status in (FAILED, CANCELLED):
@@ -525,8 +433,9 @@ class Engine:
                 for node in nodes:
                     push_ready(node)
 
-                self._drive_graph(ready, resolve, fail,
-                                  run_serial_node)
+                computing = sum(node.status == PENDING for node in nodes)
+                self._drive_graph(ready, resolve, run_serial_node,
+                                  computing)
 
                 self.hooks.emit("stage_done", {
                     "stage": stage, "jobs": len(nodes),
@@ -534,8 +443,19 @@ class Engine:
                     "wall_s": time.perf_counter() - started,
                 })
         finally:
+            # Runs on success, failure, *and* cancellation: the metrics
+            # record and the last-run snapshot must reflect what really
+            # happened, so an interrupted campaign never leaves a
+            # half-written or stale `.repro-state/` behind.  The
+            # snapshot goes to the state directory no matter how (or
+            # whether) results were cached, so `repro engine stats`
+            # reflects --no-cache runs too; a copy lands next to the
+            # cache for backward compatibility with cache-rooted
+            # readers.
             self._running = False
             if self._cancel.is_set():
+                # A cancelled executor may hold arbitrarily stale
+                # work; drop it so the next run starts clean.
                 self.close()
             stage_metrics.wall_s = time.perf_counter() - started
             self.metrics.wall_s += stage_metrics.wall_s
@@ -555,8 +475,13 @@ class Engine:
         return Job(job.fn, effective_params(node), job.seed,
                    job.label, node.key, cached=job.cached)
 
-    def _drive_graph(self, ready, resolve, fail, run_serial_node):
-        use_parallel = self.jobs > 1 or self.executor_name != "local"
+    def _drive_graph(self, ready, resolve, run_serial_node, computing):
+        # A single job to compute runs inline: no pool is worth
+        # starting for it.  A non-local backend is engaged even at
+        # jobs=1 (its workers live elsewhere); the local pool is not.
+        use_parallel = computing > 1 and (
+            self.jobs > 1 or self.executor_name != "local"
+        )
         executor = None
         if use_parallel:
             try:
@@ -635,13 +560,6 @@ class Engine:
 
     # -- serial path ---------------------------------------------------
 
-    def _run_serial(self, jobs, indices, results, attempts_used=0):
-        for index in indices:
-            self._check_cancelled()
-            results[index] = self._attempt_until_done(
-                jobs[index], attempts_used
-            )
-
     def _attempt_until_done(self, job, attempts_used=0):
         attempt = attempts_used
         last_error = None
@@ -683,127 +601,26 @@ class Engine:
             pass
         raise EngineJobError(job.label, attempt, last_error)
 
-    # -- parallel path -------------------------------------------------
-
-    def _run_parallel(self, jobs, indices, results, keys):
-        try:
-            executor = self._ensure_executor()
-        except Exception as exc:
-            self._degrade(f"could not start executor: {exc}")
-            self._run_serial(jobs, indices, results)
-            return
-
-        workers = max(1, executor.workers or self.jobs)
-        chunk_size = self.chunk_size or executor.preferred_chunk_size(
-            len(indices), min(workers, len(indices))
-        )
-        chunks = [
-            indices[start:start + chunk_size]
-            for start in range(0, len(indices), chunk_size)
-        ]
-        retry_serial = []   # indices that failed once in a worker
-        leftover = []       # indices never run because workers died
-
-        obs_ctx = obs.worker_context()
-        self._run_seq += 1
-        prefix = f"r{self._run_seq}"
-        outstanding = {}
-        deadlines = {}
-        for position, chunk in enumerate(chunks):
-            payload = [
-                self._payload_entry(jobs[i], keys[i], executor)
-                for i in chunk
-            ]
-            task_id = f"{prefix}:{position}"
-            try:
-                executor.submit(task_id, payload, obs_ctx)
-            except ExecutorBroken as exc:
-                self.metrics.worker_failures += 1
-                self._degrade(str(exc))
-                leftover.extend(chunk)
-                for later in chunks[position + 1:]:
-                    leftover.extend(later)
-                break
-            outstanding[task_id] = chunk
-            if self.timeout:
-                deadlines[task_id] = (
-                    time.monotonic() + self.timeout * len(chunk)
-                )
-
-        while outstanding:
-            self._check_cancelled()
-            try:
-                item = executor.next_result(_CANCEL_POLL_S)
-            except ExecutorBroken as exc:
-                self.metrics.worker_failures += 1
-                self._degrade(str(exc))
-                for task_id in list(outstanding):
-                    leftover.extend(outstanding.pop(task_id))
-                break
-            now = time.monotonic()
-            expired = [
-                task_id for task_id, deadline in deadlines.items()
-                if task_id in outstanding and deadline < now
-            ]
-            if expired:
-                self.metrics.worker_failures += 1
-                self._degrade(
-                    f"timeout waiting on {len(expired)} chunk(s)"
-                )
-                for task_id in list(outstanding):
-                    leftover.extend(outstanding.pop(task_id))
-                break
-            if item is None:
-                continue
-            task_id, outcomes, obs_payload = item
-            chunk = outstanding.pop(task_id, None)
-            if chunk is None:
-                continue  # stale result from an abandoned run
-            deadlines.pop(task_id, None)
-            obs.absorb(obs_payload)
-            for index, outcome in zip(chunk, outcomes):
-                if outcome[0] == "ok":
-                    results[index] = outcome[1]
-                    self.metrics.jobs_completed += 1
-                    self.hooks.emit("job_done", {
-                        "label": jobs[index].label,
-                        "fn": _fn_name(jobs[index]),
-                        "status": "completed", "attempts": 1,
-                        "elapsed_s": outcome[2], "where": "pool",
-                    })
-                else:
-                    self.metrics.worker_failures += 1
-                    retry_serial.append(index)
-
-        if leftover:
-            self._run_serial(jobs, leftover, results)
-        if retry_serial:
-            # One attempt already happened in the worker.
-            self._run_serial(jobs, retry_serial, results,
-                             attempts_used=1)
-
-    def _payload_entry(self, job, key, executor):
-        if key is None and executor.wants_cache_keys and job.cached:
-            try:
-                key = job_cache_key(job)
-            except TypeError:
-                key = None
-        return (job.fn, dict(job.params), job.seed, job.label, key)
-
     def _degrade(self, reason):
         self.metrics.degraded = True
         self.hooks.emit("degraded", {"reason": reason})
+
+
+def _keyed_node(index, job, deps):
+    """A graph node for ``job`` with its content address filled in
+    (``None`` when its params cannot be keyed: it then skips the
+    cache)."""
+    job = job if isinstance(job, Job) else Job(*job)
+    node = JobNode(index, job, deps)
+    try:
+        base_key = job_cache_key(job)
+    except TypeError:
+        base_key = None
+    node.key = node_cache_key(base_key, deps)
+    return node
 
 
 def _fn_name(job):
     from repro.engine.registry import function_identity
 
     return function_identity(job.fn)[0]
-
-
-# Re-exported for callers that sized pools off the old helper.
-def _default_pool_factory(workers):
-    from repro.engine.executors.local import (
-        _default_pool_factory as factory,
-    )
-    return factory(workers)

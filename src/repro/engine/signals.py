@@ -2,14 +2,14 @@
 
 Without this, a Ctrl-C in the middle of a campaign lands as a
 ``KeyboardInterrupt`` at an arbitrary bytecode: pool workers can be
-left mid-chunk, the last-run snapshot never gets written, and whatever
+left mid-job, the last-run snapshot never gets written, and whatever
 the observability layer collected dies with the process.
 
 :func:`install` converts the *first* signal into a cooperative
 cancellation instead:
 
 1. every engine that is mid-run gets :meth:`~Engine.cancel`, so blocked
-   chunk waits wake up, pending chunks are cancelled, and ``run()``
+   result waits wake up, pending jobs are cancelled, and the run
    raises :class:`~repro.engine.scheduler.EngineCancelled` through its
    ``finally`` block -- which persists the last-run metrics and shuts
    the worker pool down on the way out;

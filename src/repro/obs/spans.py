@@ -116,7 +116,7 @@ def start_tracing(trace_id=None, parent_id=None, process=None):
     """Enable span recording (idempotent; resets collected spans).
 
     The span-id counter is *not* reset: a pool worker is re-activated
-    once per chunk, and ids must stay unique across activations of the
+    once per job, and ids must stay unique across activations of the
     same process or the assembled tree would alias spans.
     """
     global _TRACING, _trace_id, _root_parent, _process

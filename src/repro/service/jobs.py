@@ -109,11 +109,10 @@ class JobContext:
     the job record so a cancel request reaches the in-flight run.
     """
 
-    def __init__(self, record, cache, engine_jobs=1, executor=None):
+    def __init__(self, record, cache, engine_jobs=1):
         self.record = record
         self._cache = cache
         self._engine_jobs = engine_jobs
-        self._executor = executor
         self._engine = None
 
     def engine(self, cache=True):
@@ -121,7 +120,6 @@ class JobContext:
             self._engine = Engine(
                 jobs=self._engine_jobs,
                 cache=self._cache if cache else None,
-                executor=self._executor,
             )
             self.record.engine = self._engine
         return self._engine

@@ -101,10 +101,6 @@ class ServiceConfig:
     #: Worker processes per job's engine (1 = inline in the executor
     #: thread; fine for small studies, no pool startup cost).
     engine_jobs: int = 1
-    #: Engine executor backend per job (``None``/``"local"``,
-    #: ``"steal"``, ``"socket"``, or a ready
-    #: :class:`~repro.engine.Executor`).
-    engine_executor: object = None
     #: Executor threads = jobs running concurrently (across tenants).
     max_running: int = 2
     #: Admitted-but-not-running jobs beyond the running set; past
@@ -273,7 +269,6 @@ class JobService:
         record.emit("started")
         context = JobContext(
             record, self.cache, engine_jobs=self.config.engine_jobs,
-            executor=self.config.engine_executor,
         )
         status = FAILED
         trace_token = None
@@ -376,11 +371,6 @@ class JobService:
         by_status = {}
         for record in records:
             by_status[record.status] = by_status.get(record.status, 0) + 1
-        spec = self.config.engine_executor
-        executor_name = (
-            getattr(spec, "name", None) or
-            (spec if isinstance(spec, str) else None) or "local"
-        )
         return {
             "uptime_s": round(time.time() - self.started, 3),
             "draining": self.draining,
@@ -389,7 +379,7 @@ class JobService:
             "max_running": self.config.max_running,
             "max_queued": self.config.max_queued,
             "engine": {
-                "executor": executor_name,
+                "executor": "local",
                 "jobs": self.config.engine_jobs,
             },
             "cache": self.cache.stats(),

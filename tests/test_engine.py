@@ -3,6 +3,7 @@
 import json
 import pickle
 import time
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from repro.engine import (
     ChildSeed,
     Engine,
+    EngineCancelled,
     EngineJobError,
     Job,
     ResultCache,
@@ -112,20 +114,11 @@ class TestDeterminism:
         parallel = Engine(jobs=4).run(jobs)
         assert serial == parallel
 
-    def test_chunking_does_not_change_results(self):
-        jobs = [
-            Job(normal_sum_job, {"n": 500}, seed=child)
-            for child in spawn_seeds(3, 9)
-        ]
-        by_one = Engine(jobs=3, chunk_size=1).run(jobs)
-        by_four = Engine(jobs=3, chunk_size=4).run(jobs)
-        assert by_one == by_four
-
     def test_results_in_submission_order(self):
         jobs = [
             Job(echo_job, {"index": index}) for index in range(12)
         ]
-        results = Engine(jobs=4, chunk_size=2).run(jobs)
+        results = Engine(jobs=4).run(jobs)
         assert [r["index"] for r in results] == list(range(12))
 
 
@@ -288,13 +281,11 @@ class TestFaultTolerance:
     def test_degrades_when_pool_breaks_mid_run(self):
         from concurrent.futures.process import BrokenProcessPool
 
-        class BreakingFuture:
-            def result(self, timeout=None):
-                raise BrokenProcessPool("worker died")
-
         class BreakingExecutor:
             def submit(self, fn, payload):
-                return BreakingFuture()
+                future = Future()
+                future.set_exception(BrokenProcessPool("worker died"))
+                return future
 
             def shutdown(self, wait=True, cancel_futures=False):
                 pass
@@ -308,6 +299,87 @@ class TestFaultTolerance:
         assert results == Engine(jobs=1).run(jobs)
         assert engine.metrics.degraded
         assert engine.metrics.worker_failures >= 1
+
+
+class TestResultsCachedAsTheyLand:
+    """A batch caches each result the moment it lands, so a failed or
+    cancelled batch keeps the work it finished."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_batch_keeps_its_successes(self, tmp_path, workers):
+        jobs = [Job(fail_always_job, {"i": 0}, label="doomed")] + [
+            Job(echo_job, {"i": index}, label=f"ok{index}")
+            for index in range(1, 4)
+        ]
+        with Engine(jobs=workers, cache=tmp_path, retries=1,
+                    backoff=0.001) as engine:
+            with pytest.raises(EngineJobError) as info:
+                engine.run(jobs)
+        # The failure surfaced only after every other job had run.
+        assert info.value.label == "doomed"
+        assert engine.metrics.jobs_completed == 3
+        assert engine.cache.stats()["entries"] == 3
+
+        rerun = Engine(jobs=1, cache=tmp_path)
+        assert rerun.run(jobs[1:]) == [{"i": 1}, {"i": 2}, {"i": 3}]
+        assert rerun.metrics.cache_hits == 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cancelled_batch_keeps_finished_jobs(self, tmp_path, workers):
+        jobs = [
+            Job(slow_echo_job, {"value": index, "delay": 0.05},
+                seed=ChildSeed(index), label=f"slow{index}")
+            for index in range(4)
+        ]
+        engine = Engine(jobs=workers, cache=tmp_path)
+        finished = []
+
+        def hook(event, payload):
+            if event == "job_done":
+                finished.append(payload["label"])
+                if len(finished) == 2:
+                    engine.cancel()
+
+        engine.hooks.add(hook)
+        with pytest.raises(EngineCancelled):
+            engine.run(jobs)
+        assert len(finished) == 2
+
+        fresh = Engine(jobs=1, cache=tmp_path)
+        assert fresh.run(jobs) == [0, 1, 2, 3]
+        assert fresh.metrics.cache_hits == 2
+
+
+class TestSharedLoop:
+    def test_run_leaves_submitted_nodes_alone(self):
+        engine = Engine(jobs=1)
+        pending = engine.submit(Job(echo_job, {"node": 1}))
+        assert engine.run([Job(echo_job, {"batch": 1})]) == [{"batch": 1}]
+        assert not pending.done
+        assert engine.run_graph() == [{"node": 1}]
+        assert pending.done
+
+    def test_one_job_to_compute_starts_no_pool(self, tmp_path):
+        calls = []
+
+        def pool_factory(workers):
+            calls.append(workers)
+            return ProcessPoolExecutor(max_workers=workers)
+
+        with Engine(jobs=2, cache=tmp_path,
+                    pool_factory=pool_factory) as engine:
+            assert engine.run([Job(echo_job, {"x": 1})]) == [{"x": 1}]
+            engine.submit(Job(echo_job, {"x": 2}))
+            assert engine.run_graph() == [{"x": 2}]
+            # Two jobs, but one is a cache hit: one left to compute.
+            assert engine.run([
+                Job(echo_job, {"x": 1}), Job(echo_job, {"x": 3}),
+            ]) == [{"x": 1}, {"x": 3}]
+            assert calls == []
+            assert engine.run([
+                Job(echo_job, {"x": 4}), Job(echo_job, {"x": 5}),
+            ]) == [{"x": 4}, {"x": 5}]
+            assert calls == [2]
 
 
 class TestHooks:

@@ -3,10 +3,10 @@ killed worker's jobs are requeued exactly once.
 
 The differential classes are the acceptance check of the pluggable
 executor layer: the yield study, the DSE sweep, and a conformance
-campaign must be byte-identical under ``local``, ``steal`` and
-``socket`` (the latter served by two real subprocess workers).  The
-kill classes exercise the fault model directly against the executor
-protocol.
+campaign must be byte-identical serially and over ``socket`` (served
+by two real subprocess workers), and ``repro yield`` must print the
+same table serially and with ``--jobs 2``.  The kill class exercises
+the fault model directly against the executor protocol.
 """
 
 import json
@@ -22,7 +22,6 @@ from repro.conformance.runner import run_campaign
 from repro.dse.evaluate import evaluate_all
 from repro.engine import Engine, job_function
 from repro.engine.executors.socketcluster import SocketClusterExecutor
-from repro.engine.executors.stealing import WorkStealingExecutor
 from repro.fab.process import FC4_WAFER
 from repro.fab.yield_model import run_yield_study
 from repro.netlist.cores import build_flexicore4
@@ -86,7 +85,7 @@ def netlist():
 
 @pytest.fixture(scope="module")
 def baselines(netlist):
-    """The ``--executor local`` results every backend must reproduce."""
+    """The serial results every backend must reproduce."""
     serial = Engine(jobs=1)
     return {
         "yield": run_yield_study(netlist, FC4_WAFER, wafers=3,
@@ -101,29 +100,6 @@ def _campaign_fingerprint(summary):
     # elapsed_s is wall-clock, everything else must match exactly.
     return {key: summary[key] for key in
             ("cases", "slices", "divergences")}
-
-
-class TestStealDifferential:
-    @pytest.fixture(scope="class")
-    def steal_engine(self):
-        engine = Engine(jobs=2, executor="steal")
-        yield engine
-        engine.close()
-
-    def test_yield_identical(self, netlist, baselines, steal_engine):
-        summary = run_yield_study(netlist, FC4_WAFER, wafers=3,
-                                  seed=2022, engine=steal_engine)
-        assert summary == baselines["yield"]
-        assert _canon(summary) == _canon(baselines["yield"])
-
-    def test_dse_identical(self, baselines, steal_engine):
-        assert evaluate_all(engine=steal_engine) == baselines["dse"]
-
-    def test_conform_identical(self, baselines, steal_engine):
-        summary = run_campaign(0, 8, oracle_names=["asm", "dispatch"],
-                               engine=steal_engine, persist=False)
-        assert _canon(_campaign_fingerprint(summary)) == \
-            _canon(_campaign_fingerprint(baselines["conform"]))
 
 
 class TestSocketDifferential:
@@ -164,11 +140,12 @@ class TestSocketDifferential:
 
 class TestCliDifferential:
     def test_yield_table_bytes_match_across_executors(self, capsys):
-        """``repro yield`` prints the same table under every backend."""
+        """``repro yield`` prints the same table serially and over a
+        two-worker pool."""
         from repro.cli import main
 
         outputs = {}
-        for flags in ([], ["--executor", "steal", "--jobs", "2"]):
+        for flags in ([], ["--jobs", "2"]):
             try:
                 assert main(["yield", "--wafers", "2", "--seed", "7",
                              *flags]) == 0
@@ -238,58 +215,3 @@ class TestSocketWorkerDeath:
         finally:
             executor.shutdown()
             _reap(procs)
-
-
-class TestStealWorkerDeath:
-    def test_killed_workers_jobs_requeued(self):
-        executor = WorkStealingExecutor(workers=2)
-        executor.start()
-        try:
-            for task_id in range(6):
-                executor.submit(task_id, [(
-                    sleepy_job, {"value": task_id, "delay": 0.3},
-                    None, f"sleepy{task_id}", None,
-                )], None)
-            # Both workers have a task in flight the moment the first
-            # submit lands; kill one before it can finish.
-            executor._procs[0].kill()
-            seen = _drain(executor, 6)
-            assert sorted(seen) == list(range(6))
-            assert all(len(reports) == 1 for reports in seen.values())
-            for task_id, reports in seen.items():
-                (outcome,) = reports[0]
-                assert outcome[0] == "ok", outcome
-                assert outcome[1] == task_id
-            stats = executor.describe()
-            assert stats["requeues"] == 1
-            assert stats["alive"] == 1
-        finally:
-            executor.shutdown()
-
-    def test_engine_survives_worker_loss(self, tmp_path):
-        """End to end: an engine over a stealing pool finishes every
-        job (and keeps the cache coherent) when a worker dies."""
-        executor = WorkStealingExecutor(workers=2)
-        engine = Engine(jobs=2, cache=tmp_path, executor=executor)
-        from repro.engine import Job, spawn_seeds
-
-        nodes = [
-            engine.submit(Job(sleepy_job,
-                              {"value": index, "delay": 0.2},
-                              seed=child, label=f"sleepy{index}"))
-            for index, child in enumerate(spawn_seeds(13, 4))
-        ]
-        killer_done = []
-
-        def hook(event, payload):
-            if event == "job_done" and not killer_done:
-                killer_done.append(True)
-                executor._procs[-1].kill()
-
-        engine.hooks.add(hook)
-        results = engine.run_graph()
-        engine.close()
-        assert results == [0, 1, 2, 3]
-        assert all(node.done for node in nodes)
-        # Every completed job made it into the cache exactly once.
-        assert engine.cache.stats()["entries"] == 4

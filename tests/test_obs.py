@@ -285,7 +285,7 @@ class TestEngineTransport:
             for index in range(4)
         ]
         with obs.span("test.stage"):
-            results = Engine(jobs=2, chunk_size=1).run(jobs, stage="t")
+            results = Engine(jobs=2).run(jobs, stage="t")
         assert results == [0, 1, 2, 3]
         assert obs.registry().counter("test_obs_jobs_total").total() == 4
         records = obs.collected_spans()

@@ -182,6 +182,7 @@ class TestRoundTrip:
         stats = alice.stats()
         assert stats["tenants"] == ["alice", "bob"]
         assert "cache" in stats
+        assert stats["engine"]["executor"] == "local"
         assert alice.health()["ok"] is True
 
 
