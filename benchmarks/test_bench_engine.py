@@ -3,9 +3,8 @@
 These demonstrate the acceptance properties of the engine on the real
 experiment paths (not toy jobs): a warm result cache makes a rerun at
 least 5x faster, a process pool produces byte-identical results to the
-serial path, the dependency graph overlaps independent stages that a
-barriered schedule serializes, and a cold ``repro worker join`` worker
-answers >90% of its work from the coordinator's shared cache tier.
+serial path, and the dependency graph overlaps independent stages that
+a barriered schedule serializes.
 Run with ``pytest benchmarks/ --benchmark-only`` (add ``-s`` to see
 the speedup reports).
 
@@ -17,8 +16,6 @@ and only sanity-checks the ratios.  Set
 
 import json
 import os
-import subprocess
-import sys
 import time
 
 import pytest
@@ -173,80 +170,3 @@ class TestGraphOverlap:
         elif not SMOKE:
             assert ratio <= 1.15, (graph_s, barriered_s)
 
-
-class TestRemoteCacheTier:
-    """A cold worker joining the cluster answers from the shared tier:
-    digest-addressed blobs travel coordinator -> worker instead of
-    being recomputed."""
-
-    def test_cold_remote_worker_hit_rate(self, netlist, tmp_path,
-                                         engine_report):
-        from repro.engine import ResultCache
-        from repro.engine.executors.socketcluster import (
-            SocketClusterExecutor,
-        )
-
-        wafers = 12
-        baseline = run_yield_study(
-            netlist, FC4_WAFER, wafers=wafers, seed=2022,
-            engine=Engine(jobs=1, cache=tmp_path),
-        )
-
-        executor = SocketClusterExecutor(
-            bind="127.0.0.1:0", min_workers=1, worker_wait_s=60.0,
-            cache=ResultCache(tmp_path),
-        )
-        host, port = executor.address
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(os.path.dirname(os.path.dirname(
-                os.path.abspath(__file__))), "src")]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        worker = subprocess.Popen(
-            [sys.executable, "-c",
-             "from repro.engine.executors.worker import run_worker\n"
-             f"run_worker({host!r}, {port})"],
-            env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-        try:
-            deadline = time.monotonic() + 30.0
-            while executor.workers < 1:
-                assert time.monotonic() < deadline, "worker never joined"
-                time.sleep(0.02)
-            # Engine cache off: every node is dispatched to the cold
-            # worker, whose only warm path is the coordinator tier.
-            engine = Engine(jobs=2, cache=None, executor=executor)
-            started = time.perf_counter()
-            summary = run_yield_study(netlist, FC4_WAFER,
-                                      wafers=wafers, seed=2022,
-                                      engine=engine)
-            remote_s = time.perf_counter() - started
-            stats = executor.describe()
-            engine.close()
-        finally:
-            try:
-                worker.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                worker.kill()
-                worker.wait(timeout=10)
-        assert summary == baseline
-        served = stats["remote_cache_hits"] + stats["remote_computed"]
-        hit_rate = stats["remote_cache_hits"] / served
-        engine_report["remote_cache_tier"] = {
-            "wafers": wafers,
-            "remote_cache_hits": stats["remote_cache_hits"],
-            "remote_computed": stats["remote_computed"],
-            "hit_rate": hit_rate, "elapsed_s": remote_s,
-        }
-        print_result(
-            "Cold remote worker vs shared cache tier",
-            f"remote hits    {stats['remote_cache_hits']:4d}\n"
-            f"computed       {stats['remote_computed']:4d}"
-            f"  (the uncached merge node)\n"
-            f"hit rate       {100 * hit_rate:6.1f}% "
-            f"(acceptance: > 90%)\n"
-            f"wall clock     {remote_s * 1e3:6.1f} ms",
-        )
-        assert hit_rate > 0.9, stats

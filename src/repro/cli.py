@@ -580,12 +580,6 @@ def cmd_engine(args):
               f"{entry['bytes']:>10,d} bytes")
     print(f"  {'total':<24} {stats['entries']:4d} entries  "
           f"{stats['cache_bytes']:>10,d} bytes on disk")
-    if stats.get("shards", 1) > 1:
-        print(f"shards: {stats['shards']} "
-              f"(index entries: {stats.get('index_entries', 0)})")
-        for shard, entry in sorted(stats.get("per_shard", {}).items()):
-            print(f"  {shard:<24} {entry['entries']:4d} entries  "
-                  f"{entry['bytes']:>10,d} bytes")
     print(f"registered job functions: "
           f"{', '.join(sorted(registered())) or '(none imported)'}")
     last = load_last_run(cache.root)
@@ -686,9 +680,7 @@ def cmd_worker(args):
     print(f"joining engine coordinator at {host}:{port} "
           f"(Ctrl-C to leave)", file=sys.stderr)
     try:
-        served = run_worker(host, int(port),
-                            cache_dir=args.cache_dir,
-                            on_event=on_event)
+        served = run_worker(host, int(port), on_event=on_event)
     except ConnectionRefusedError:
         print(f"error: no coordinator listening on {host}:{port} "
               f"(start a run with --executor socket first)",
@@ -1141,9 +1133,6 @@ def build_parser():
     )
     w.add_argument("address", metavar="HOST:PORT",
                    help="coordinator address printed by the run")
-    w.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="this worker's local result cache (default: "
-                        ".repro-cache or $REPRO_CACHE_DIR)")
     w.add_argument("--verbose", action="store_true",
                    help="print per-job events to stderr")
     w.set_defaults(fn=cmd_worker)

@@ -27,9 +27,7 @@ legacy behavior) so nothing changes unless asked to::
 
 from repro.engine.cache import (  # noqa: F401
     CACHE_DIR_ENV,
-    CACHE_SHARDS_ENV,
     ResultCache,
-    ShardIndex,
     default_cache_dir,
     job_cache_key,
 )
@@ -69,10 +67,10 @@ from repro.engine.scheduler import (  # noqa: F401
 )
 
 __all__ = [
-    "CACHE_DIR_ENV", "CACHE_SHARDS_ENV", "ChildSeed", "Engine",
+    "CACHE_DIR_ENV", "ChildSeed", "Engine",
     "EngineCancelled", "EngineJobError", "EngineMetrics", "Executor",
     "ExecutorBroken", "GraphError", "Job", "JobNode", "ResultCache",
-    "ShardIndex", "as_child_seed", "cancel_all_engines", "configure",
+    "as_child_seed", "cancel_all_engines", "configure",
     "current_engine", "default_cache_dir", "engine_or_default",
     "executor_names", "function_identity", "job_cache_key",
     "job_function", "live_engines", "load_last_run", "make_executor",

@@ -15,22 +15,11 @@ Layout on disk (default root: ``$REPRO_CACHE_DIR`` or ``.repro-cache``)::
     <root>/<function-name>/<digest>.json   human-readable entry metadata
     <root>/last_run.json                   metrics of the latest engine run
 
-With ``shards > 1`` (constructor argument, ``$REPRO_CACHE_SHARDS``, or
-a persisted ``shards.json``) entries spread over N key-hash shards, and
-an append-only *index tier* records every put so a cluster coordinator
-can answer "who has this digest" without walking the tree::
-
-    <root>/shards.json                     {"shards": N}
-    <root>/shard-03/<function-name>/<digest>.pkl
-    <root>/index/shard-03.jsonl            one JSON line per put
-
-Index lines are written with a single ``O_APPEND`` write (the same
-crash-safety discipline as :func:`repro.obs.state.append_jsonl`): a
-crash can tear at most the final line, and readers skip torn lines.
-The index is advisory -- lookups verify the blob on disk -- so a stale
-or missing index never serves wrong data.  A sharded cache still reads
-legacy flat-layout entries, so enabling sharding on an existing cache
-loses no hits.
+Writes are atomic (temp file + ``os.replace``, data before metadata),
+so a crash mid-write never leaves a torn pickle behind.  The engine is
+the only reader and writer: it looks every job up before dispatch and
+stores each result as it lands, in the coordinating process, so
+executors -- the local pool or socket-cluster workers -- only run jobs.
 
 Values that cannot be canonicalized deterministically (arbitrary objects
 whose ``repr`` embeds addresses) are rejected with ``TypeError`` rather
@@ -52,12 +41,8 @@ import numpy as np
 
 #: Environment override for the cache root directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-#: Environment override for the shard count of new caches.
-CACHE_SHARDS_ENV = "REPRO_CACHE_SHARDS"
 #: Project-local default cache root.
 DEFAULT_CACHE_DIRNAME = ".repro-cache"
-#: File persisting a cache's shard count so reopens agree.
-SHARDS_FILENAME = "shards.json"
 
 
 def default_cache_dir():
@@ -138,174 +123,18 @@ def _safe_name(name):
                    for c in name) or "anonymous"
 
 
-class ShardIndex:
-    """Append-only "who has what" ledger over a sharded cache.
-
-    One JSONL file per shard under ``<root>/index/``; every
-    :meth:`record` is a single ``O_APPEND`` write so concurrent
-    writers (engine + cluster workers sharing a filesystem) interleave
-    whole lines and a crash tears at most the last one.  Lookups are
-    served from an mtime-validated in-memory load and are *advisory*:
-    callers must verify the blob exists before trusting a hit.
-    """
-
-    def __init__(self, root):
-        self.root = Path(root) / "index"
-        self._loaded = None     # {key: {"fn", "shard", "bytes"}}
-        self._loaded_stamp = None
-
-    def _file(self, shard):
-        return self.root / f"shard-{int(shard):02d}.jsonl"
-
-    def record(self, shard, fn_name, key, nbytes):
-        """Append one put record; IO errors are swallowed (the index
-        is a hint tier, never load-bearing for correctness)."""
-        line = json.dumps(
-            {"key": key, "fn": fn_name, "shard": int(shard),
-             "bytes": int(nbytes), "t": time.time()},
-            separators=(",", ":"),
-        ) + "\n"
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd = os.open(
-                self._file(shard),
-                os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644,
-            )
-            try:
-                os.write(fd, line.encode("utf-8"))
-            finally:
-                os.close(fd)
-        except OSError:
-            pass
-
-    def _stamp(self):
-        try:
-            return tuple(sorted(
-                (path.name, path.stat().st_mtime_ns, path.stat().st_size)
-                for path in self.root.glob("shard-*.jsonl")
-            ))
-        except OSError:
-            return ()
-
-    def load(self):
-        """``{key: {"fn", "shard", "bytes"}}``, newest record wins."""
-        stamp = self._stamp()
-        if self._loaded is not None and stamp == self._loaded_stamp:
-            return self._loaded
-        mapping = {}
-        for path in sorted(self.root.glob("shard-*.jsonl")):
-            try:
-                text = path.read_text(encoding="utf-8", errors="replace")
-            except OSError:
-                continue
-            for line in text.splitlines():
-                try:
-                    record = json.loads(line)
-                    mapping[record["key"]] = {
-                        "fn": record["fn"],
-                        "shard": record["shard"],
-                        "bytes": record.get("bytes", 0),
-                    }
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    continue  # torn/foreign line -- skip, never fail
-        self._loaded = mapping
-        self._loaded_stamp = stamp
-        return mapping
-
-    def lookup(self, key):
-        """The recorded ``{"fn", "shard", "bytes"}`` for a digest."""
-        return self.load().get(key)
-
-    def __len__(self):
-        return len(self.load())
-
-
 class ResultCache:
-    """Pickle-backed result store with hit/miss accounting.
+    """Pickle-backed result store with hit/miss accounting."""
 
-    ``shards`` selects the N-way key-hash layout (see the module
-    docstring); the default (``1``) is the exact legacy flat layout.
-    A cache that was ever written sharded remembers its shard count in
-    ``shards.json`` so later opens agree without repeating the option.
-    """
-
-    def __init__(self, root=None, shards=None):
+    def __init__(self, root=None):
         self.root = Path(root or default_cache_dir())
-        self.shards = self._resolve_shards(shards)
-        self.index = ShardIndex(self.root)
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
-        self._announced_shards = False
-
-    def _resolve_shards(self, shards):
-        if shards is None:
-            persisted = self._read_persisted_shards()
-            if persisted is not None:
-                return persisted
-            shards = os.environ.get(CACHE_SHARDS_ENV) or 1
-        try:
-            return max(1, int(shards))
-        except (TypeError, ValueError):
-            return 1
-
-    def _read_persisted_shards(self):
-        try:
-            with open(self.root / SHARDS_FILENAME) as handle:
-                return max(1, int(json.load(handle)["shards"]))
-        except (OSError, ValueError, KeyError, TypeError,
-                json.JSONDecodeError):
-            return None
-
-    def _persist_shards(self):
-        if self._announced_shards or self.shards <= 1:
-            return
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            path = self.root / SHARDS_FILENAME
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            with open(tmp, "w") as handle:
-                json.dump({"shards": self.shards}, handle)
-            os.replace(tmp, path)
-            self._announced_shards = True
-        except OSError:
-            pass
-
-    # -- addressing ----------------------------------------------------
-
-    def shard_of(self, key):
-        """Which shard a digest lives in (``0`` when unsharded)."""
-        if self.shards <= 1:
-            return 0
-        try:
-            bucket = int(str(key)[:8], 16)
-        except ValueError:
-            bucket = int.from_bytes(
-                hashlib.sha256(str(key).encode("utf-8")).digest()[:4],
-                "big",
-            )
-        return bucket % self.shards
-
-    def _shard_dir(self, shard):
-        if self.shards <= 1:
-            return self.root
-        return self.root / f"shard-{int(shard):02d}"
 
     def _paths(self, fn_name, key):
-        directory = (self._shard_dir(self.shard_of(key))
-                     / _safe_name(fn_name))
-        return directory / f"{key}.pkl", directory / f"{key}.json"
-
-    def _legacy_paths(self, fn_name, key):
         directory = self.root / _safe_name(fn_name)
         return directory / f"{key}.pkl", directory / f"{key}.json"
-
-    def _candidate_paths(self, fn_name, key):
-        primary = self._paths(fn_name, key)
-        yield primary
-        legacy = self._legacy_paths(fn_name, key)
-        if legacy[0] != primary[0]:
-            yield legacy
 
     # -- lookup / store ------------------------------------------------
 
@@ -317,31 +146,28 @@ class ResultCache:
         checkout no longer has) is quarantined: both the ``.pkl`` and
         its ``.json`` metadata are deleted so the next ``put`` starts
         from a clean slot instead of shadowing good data with bad.
-        A sharded cache falls back to the legacy flat path, so turning
-        sharding on over an existing cache keeps its hits.
         """
-        for data_path, meta_path in self._candidate_paths(fn_name, key):
-            try:
-                with open(data_path, "rb") as handle:
-                    value = pickle.load(handle)
-            except OSError:
-                continue
-            except (pickle.UnpicklingError, EOFError,
-                    AttributeError, ImportError, ValueError):
-                self._quarantine(fn_name, data_path, meta_path)
-                self.misses += 1
-                return False, None
-            self.hits += 1
-            # Mark the entry recently-used so :meth:`gc` evicts cold
-            # entries first (mtime is the LRU clock; atime is
-            # unreliable on noatime/relatime mounts).
-            try:
-                os.utime(data_path)
-            except OSError:
-                pass
-            return True, value
-        self.misses += 1
-        return False, None
+        data_path, meta_path = self._paths(fn_name, key)
+        try:
+            with open(data_path, "rb") as handle:
+                value = pickle.load(handle)
+        except OSError:
+            self.misses += 1
+            return False, None
+        except (pickle.UnpicklingError, EOFError,
+                AttributeError, ImportError, ValueError):
+            self._quarantine(fn_name, data_path, meta_path)
+            self.misses += 1
+            return False, None
+        self.hits += 1
+        # Mark the entry recently-used so :meth:`gc` evicts cold
+        # entries first (mtime is the LRU clock; atime is
+        # unreliable on noatime/relatime mounts).
+        try:
+            os.utime(data_path)
+        except OSError:
+            pass
+        return True, value
 
     def _quarantine(self, fn_name, data_path, meta_path):
         self.corrupt += 1
@@ -362,21 +188,6 @@ class ResultCache:
 
     def put(self, fn_name, key, value, meta=None):
         """Atomically store a result (tmp file + rename)."""
-        return self._store(
-            fn_name, key, meta,
-            lambda handle: pickle.dump(
-                value, handle, pickle.HIGHEST_PROTOCOL
-            ),
-        )
-
-    def put_blob(self, fn_name, key, blob, meta=None):
-        """Store an already-pickled result blob (the wire format the
-        cluster ships between workers); same atomicity as :meth:`put`."""
-        return self._store(
-            fn_name, key, meta, lambda handle: handle.write(blob)
-        )
-
-    def _store(self, fn_name, key, meta, write):
         data_path, meta_path = self._paths(fn_name, key)
         try:
             data_path.parent.mkdir(parents=True, exist_ok=True)
@@ -385,7 +196,7 @@ class ResultCache:
         tmp = data_path.with_suffix(f".tmp.{os.getpid()}")
         try:
             with open(tmp, "wb") as handle:
-                write(handle)
+                pickle.dump(value, handle, pickle.HIGHEST_PROTOCOL)
             os.replace(tmp, data_path)
         except (OSError, pickle.PicklingError, TypeError,
                 AttributeError):
@@ -412,54 +223,7 @@ class ResultCache:
                 meta_tmp.unlink()
             except OSError:
                 pass
-        self._persist_shards()
-        try:
-            nbytes = data_path.stat().st_size
-        except OSError:
-            nbytes = 0
-        self.index.record(self.shard_of(key), fn_name, key, nbytes)
         return True
-
-    def get_blob(self, fn_name, key):
-        """The raw pickled bytes for an entry, or ``None`` on miss.
-
-        This is the cluster's cache-sharing read: no deserialization
-        (the coordinator relays bytes it never needs to understand)
-        and no hit/miss accounting (session counters stay about *this*
-        process's lookups).
-        """
-        for data_path, _meta in self._candidate_paths(fn_name, key):
-            try:
-                with open(data_path, "rb") as handle:
-                    return handle.read()
-            except OSError:
-                continue
-        return None
-
-    def shared_lookup(self, key, fn_name=None):
-        """Resolve a digest through the index tier: ``(fn, blob)``.
-
-        The index says which function/shard recorded the digest; the
-        filesystem is the authority (a stale index entry whose blob is
-        gone is a miss).  ``fn_name`` is a fallback probe for entries
-        that predate the index.
-        """
-        record = self.index.lookup(key)
-        if record is not None:
-            blob = self.get_blob(record["fn"], key)
-            if blob is not None:
-                return record["fn"], blob
-        if fn_name is not None:
-            blob = self.get_blob(fn_name, key)
-            if blob is not None:
-                return fn_name, blob
-        return None, None
-
-    def has(self, fn_name, key):
-        return any(
-            data.exists()
-            for data, _meta in self._candidate_paths(fn_name, key)
-        )
 
     # -- maintenance / reporting ---------------------------------------
 
@@ -480,7 +244,7 @@ class ResultCache:
         """
         max_bytes = max(0, int(max_bytes))
         records = []
-        for _shard, _fn_name, data_path in self._scan():
+        for _fn_name, data_path in self._scan():
             try:
                 stat = data_path.stat()
             except OSError:
@@ -510,39 +274,23 @@ class ResultCache:
         }
 
     def _scan(self):
-        """Yield ``(shard, fn_name, data_path)`` for every entry.
-
-        Walks both the sharded layout and legacy flat directories;
-        skips the index tier and the service artifact store, which
-        share the root but are not result entries.
-        """
+        """Yield ``(fn_name, data_path)`` for every entry; skips the
+        service artifact store, which shares the root but holds no
+        result entries."""
         if not self.root.exists():
             return
         for child in sorted(self.root.iterdir()):
-            if not child.is_dir() or child.name in ("index", "artifacts"):
+            if not child.is_dir() or child.name == "artifacts":
                 continue
-            if child.name.startswith("shard-"):
-                try:
-                    shard = int(child.name.split("-", 1)[1])
-                except ValueError:
-                    continue
-                for fn_dir in sorted(child.iterdir()):
-                    if not fn_dir.is_dir():
-                        continue
-                    for data_path in fn_dir.glob("*.pkl"):
-                        yield shard, fn_dir.name, data_path
-            else:
-                for data_path in child.glob("*.pkl"):
-                    yield 0, child.name, data_path
+            for data_path in child.glob("*.pkl"):
+                yield child.name, data_path
 
     def stats(self):
-        """{function name: {"entries": n, "bytes": total}} plus totals,
-        and (for sharded caches) a per-shard entry/byte breakdown."""
+        """{function name: {"entries": n, "bytes": total}} plus totals."""
         by_fn = {}
-        by_shard = {}
         total_entries = 0
         total_bytes = 0
-        for shard, fn_name, data_path in self._scan():
+        for fn_name, data_path in self._scan():
             try:
                 size = data_path.stat().st_size
             except OSError:
@@ -551,11 +299,6 @@ class ResultCache:
                                        {"entries": 0, "bytes": 0})
             fn_slot["entries"] += 1
             fn_slot["bytes"] += size
-            shard_slot = by_shard.setdefault(
-                shard, {"entries": 0, "bytes": 0}
-            )
-            shard_slot["entries"] += 1
-            shard_slot["bytes"] += size
             total_entries += 1
             total_bytes += size
         return {
@@ -564,18 +307,7 @@ class ResultCache:
             "entries": total_entries,
             "bytes": total_bytes,
             "cache_bytes": total_bytes,
-            "shards": self.shards,
-            "per_shard": {
-                f"shard-{shard:02d}": counts
-                for shard, counts in sorted(by_shard.items())
-            },
-            "index_entries": len(self.index),
             "session_hits": self.hits,
             "session_misses": self.misses,
             "session_corrupt": self.corrupt,
         }
-
-    @property
-    def hit_rate(self):
-        seen = self.hits + self.misses
-        return self.hits / seen if seen else 0.0

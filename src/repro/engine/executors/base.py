@@ -6,9 +6,8 @@ deliberately tiny so backends can range from an in-process pool to a
 socket cluster:
 
 - :meth:`Executor.submit` takes an opaque ``task_id``, a payload of
-  ``(fn, params, seed, label, cache_key)`` tuples (the scheduler sends
-  one job per task), and an optional obs context, and returns
-  immediately;
+  ``(fn, params, seed, label)`` tuples (the scheduler sends one job per
+  task), and an optional obs context, and returns immediately;
 - :meth:`Executor.next_result` blocks up to ``timeout`` seconds and
   returns one finished ``(task_id, outcomes, obs_payload)`` triple (or
   ``None`` on timeout), in *completion* order -- the scheduler
@@ -21,6 +20,9 @@ Outcomes use the same shape everywhere: ``("ok", value, elapsed_s)`` or
 ``("err", message, traceback_text)``, one per payload entry, in payload
 order.  Exceptions are flattened to strings on the worker side because
 a raw exception object may itself fail to pickle on the way back.
+
+Executors only run jobs.  The result cache belongs to the engine, which
+looks every job up before dispatch and stores each result as it lands.
 """
 
 import time
@@ -44,22 +46,22 @@ class ExecutorBroken(RuntimeError):
         self.lost = list(lost)
 
 
-def execute_payload(payload, obs_ctx=None):
+def execute_payload(payload, obs_ctx=None, where="pool"):
     """Worker-side entry point: run one payload of job tuples.
 
     ``obs_ctx`` carries the parent's observability context
     (:func:`repro.obs.worker_context`); when present, each job runs
-    under its own span and the worker's recorded spans and metric
-    deltas travel back with the results.
+    under its own span (tagged ``where``: ``pool`` or ``socket``) and
+    the worker's recorded spans and metric deltas travel back with the
+    results.
     """
     if obs_ctx is not None:
         obs.enter_worker(obs_ctx)
     results = []
-    for entry in payload:
-        fn, params, seed, label = entry[0], entry[1], entry[2], entry[3]
+    for fn, params, seed, label in payload:
         started = time.perf_counter()
         try:
-            with obs.span("engine.job", label=label, where="pool"):
+            with obs.span("engine.job", label=label, where=where):
                 value = fn(params, seed)
         except Exception as exc:
             results.append((

@@ -3,14 +3,13 @@
 The engine side (:class:`SocketClusterExecutor`) binds a TCP port and
 accepts workers started with ``repro worker join <host:port>``
 (:mod:`repro.engine.executors.worker`).  The protocol is length-prefixed
-JSON frames (4-byte big-endian length, UTF-8 JSON body); binary values
-(pickled payloads, cached result blobs) ride inside frames as base64.
+JSON frames (4-byte big-endian length, UTF-8 JSON body); pickled job
+payloads and results ride inside frames as base64.
 
 Frame types
 -----------
-worker → coordinator: ``hello``, ``result``, ``cache_get``,
-``cache_put``, ``ping``; coordinator → worker: ``welcome``, ``job``,
-``cache_hit``, ``cache_miss``, ``pong``, ``shutdown``.
+worker → coordinator: ``hello``, ``result``, ``ping``; coordinator →
+worker: ``welcome``, ``job``, ``pong``, ``shutdown``.
 
 Fault model
 -----------
@@ -23,15 +22,13 @@ bounce around the cluster forever.  If no workers are connected for
 :class:`~repro.engine.executors.base.ExecutorBroken` and the engine
 degrades to serial.
 
-Cache tier
-----------
-The coordinator exposes its :class:`~repro.engine.cache.ResultCache`
-(shared index + shards) over ``cache_get``/``cache_put``: a worker
-that misses locally asks the coordinator before computing, and ships
-the digest-addressed blob back after computing, so one worker's miss
-becomes every other worker's hit.  The engine's observability context
-(including the W3C trace id) is pickled into each job frame, so spans
-recorded on remote workers join the parent trace.
+Workers only run jobs: the engine looks every job up in its result
+cache before dispatch and stores each result as it lands, so cached
+jobs never reach the cluster.  Jobs are pickled by reference, so
+workers must run the coordinator's checkout.  The engine's
+observability context (including the W3C trace id) is pickled into
+each job frame, so spans recorded on remote workers join the parent
+trace.
 """
 
 import base64
@@ -126,7 +123,7 @@ class SocketClusterExecutor(Executor):
     name = "socket"
 
     def __init__(self, bind="127.0.0.1:0", min_workers=1,
-                 worker_wait_s=60.0, cache=None, workers=None,
+                 worker_wait_s=60.0, workers=None,
                  pool_factory=None, dead_after_s=DEAD_AFTER_S):
         # ``workers``/``pool_factory`` are accepted for interface
         # parity with the other backends; cluster size is whatever
@@ -137,7 +134,6 @@ class SocketClusterExecutor(Executor):
         self.min_workers = max(1, int(min_workers))
         self.worker_wait_s = worker_wait_s
         self.dead_after_s = dead_after_s
-        self.cache = cache
         self._listener = None
         self._accept_thread = None
         self._lock = threading.Lock()
@@ -150,9 +146,6 @@ class SocketClusterExecutor(Executor):
         self._started_at = None
         self._last_worker_at = None
         self.requeues = 0
-        self.remote_cache_hits = 0
-        self.local_cache_hits = 0
-        self.remote_computed = 0
 
     # -- lifecycle -----------------------------------------------------
 
@@ -211,7 +204,6 @@ class SocketClusterExecutor(Executor):
             worker = _Worker(wid, sock, {
                 "pid": hello.get("pid"),
                 "host": hello.get("host"),
-                "has_cache": bool(hello.get("cache")),
             })
             self._workers[wid] = worker
             self._last_worker_at = time.monotonic()
@@ -232,10 +224,6 @@ class SocketClusterExecutor(Executor):
         kind = frame.get("type")
         if kind == "result":
             self._handle_result(worker, frame)
-        elif kind == "cache_get":
-            self._handle_cache_get(worker, frame)
-        elif kind == "cache_put":
-            self._handle_cache_put(frame)
         elif kind == "ping":
             send_frame(worker.sock, {"type": "pong"}, lock=worker.lock)
 
@@ -259,37 +247,8 @@ class SocketClusterExecutor(Executor):
                     "err", f"undecodable result: {exc}", "",
                 ) for _ in task.payload]
                 obs_payload = None
-        self.local_cache_hits += int(frame.get("local_hits", 0))
-        self.remote_cache_hits += int(frame.get("remote_hits", 0))
-        self.remote_computed += int(frame.get("computed", 0))
         self._results.put((task.task_id, outcomes, obs_payload))
         self._dispatch()
-
-    def _handle_cache_get(self, worker, frame):
-        blob = None
-        if self.cache is not None:
-            # The shared index tier says which function/shard recorded
-            # the digest; the frame's fn is only a fallback probe.
-            _fn, blob = self.cache.shared_lookup(
-                frame.get("key"), fn_name=frame.get("fn")
-            )
-        if blob is None:
-            reply = {"type": "cache_miss", "rpc": frame.get("rpc")}
-        else:
-            reply = {"type": "cache_hit", "rpc": frame.get("rpc"),
-                     "blob": encode_blob(blob)}
-        send_frame(worker.sock, reply, lock=worker.lock)
-
-    def _handle_cache_put(self, frame):
-        if self.cache is None:
-            return
-        try:
-            self.cache.put_blob(
-                frame.get("fn"), frame.get("key"),
-                decode_blob(frame["blob"]), meta=frame.get("meta"),
-            )
-        except Exception:
-            pass  # a failed share-back never fails the job
 
     # -- scheduling ----------------------------------------------------
 
@@ -419,9 +378,6 @@ class SocketClusterExecutor(Executor):
             "workers": len(members),
             "members": members,
             "requeues": self.requeues,
-            "remote_cache_hits": self.remote_cache_hits,
-            "local_cache_hits": self.local_cache_hits,
-            "remote_computed": self.remote_computed,
         }
         if self._listener is not None:
             stats["bind"] = "%s:%d" % self._listener.getsockname()[:2]

@@ -2,14 +2,12 @@
 
 Connects to a :class:`~repro.engine.executors.socketcluster.\
 SocketClusterExecutor` coordinator, heartbeats once a second from a
-background thread, and executes one job frame at a time.  For every
-cache-keyed job the worker consults, in order:
-
-1. its *local* :class:`~repro.engine.cache.ResultCache` (``--cache-dir``),
-2. the coordinator's shared cache tier (``cache_get`` → blob on hit),
-3. actual computation -- after which the digest-addressed blob is
-   stored locally *and* shipped back (``cache_put``) so the next
-   worker's miss is a hit.
+background thread, and executes one job frame at a time through
+:func:`~repro.engine.executors.base.execute_payload`, the entry point
+pool workers use.  Workers keep no cache: the coordinating engine
+looks every job up before dispatch and stores each result as it lands.
+Jobs are pickled by reference, so a worker must run the coordinator's
+checkout.
 
 The job frame carries the engine's observability context; spans and
 metric deltas recorded here travel back in the result frame, which is
@@ -20,12 +18,8 @@ import os
 import pickle
 import socket
 import threading
-import time
-import traceback
 
-from repro import obs
-from repro.engine.cache import ResultCache
-from repro.engine.registry import function_identity
+from repro.engine.executors.base import execute_payload
 from repro.engine.executors.socketcluster import (
     HEARTBEAT_S,
     decode_blob,
@@ -35,63 +29,7 @@ from repro.engine.executors.socketcluster import (
 )
 
 
-class _Link:
-    """One coordinator connection: locked writes, single-threaded reads."""
-
-    def __init__(self, sock):
-        self.sock = sock
-        self.write_lock = threading.Lock()
-        self._rpc_seq = 0
-        self.deferred = []  # control frames that arrived mid-RPC
-
-    def send(self, frame):
-        send_frame(self.sock, frame, lock=self.write_lock)
-
-    def rpc(self, frame):
-        """Send a request frame and wait for its ``rpc``-tagged reply.
-
-        Only the main thread reads the socket, so interleaved frames
-        here can only be control traffic (``pong``/``shutdown``),
-        which is deferred for the main loop.
-        """
-        self._rpc_seq += 1
-        rpc_id = self._rpc_seq
-        self.send(dict(frame, rpc=rpc_id))
-        while True:
-            reply = recv_frame(self.sock)
-            if reply.get("rpc") == rpc_id:
-                return reply
-            if reply.get("type") != "pong":
-                self.deferred.append(reply)
-
-
-def _cache_lookup(link, local_cache, fn_name, key, counters):
-    """Resolve a cached value: local tier, then the coordinator."""
-    if local_cache is not None:
-        blob = local_cache.get_blob(fn_name, key)
-        if blob is not None:
-            try:
-                value = pickle.loads(blob)
-            except Exception:
-                blob = None
-            else:
-                counters["local_hits"] += 1
-                return True, value
-    reply = link.rpc({"type": "cache_get", "fn": fn_name, "key": key})
-    if reply.get("type") != "cache_hit":
-        return False, None
-    blob = decode_blob(reply["blob"])
-    try:
-        value = pickle.loads(blob)
-    except Exception:
-        return False, None
-    counters["remote_hits"] += 1
-    if local_cache is not None:
-        local_cache.put_blob(fn_name, key, blob)
-    return True, value
-
-
-def _run_job_frame(link, local_cache, frame):
+def _run_job_frame(frame):
     """Execute one job frame; returns the result frame to send."""
     task_id = frame.get("task_id")
     try:
@@ -102,59 +40,16 @@ def _run_job_frame(link, local_cache, frame):
             "error": f"worker could not decode job: "
                      f"{type(exc).__name__}: {exc}",
         }
-    if obs_ctx is not None:
-        obs.enter_worker(obs_ctx)
-    counters = {"local_hits": 0, "remote_hits": 0, "computed": 0}
-    outcomes = []
-    for entry in payload:
-        fn, params, seed, label = entry[0], entry[1], entry[2], entry[3]
-        key = entry[4] if len(entry) > 4 else None
-        fn_name = function_identity(fn)[0]
-        started = time.perf_counter()
-        if key is not None:
-            hit, value = _cache_lookup(
-                link, local_cache, fn_name, key, counters
-            )
-            if hit:
-                outcomes.append(
-                    ("ok", value, time.perf_counter() - started)
-                )
-                continue
-        try:
-            with obs.span("engine.job", label=label, where="socket"):
-                value = fn(params, seed)
-        except Exception as exc:
-            outcomes.append((
-                "err", f"{type(exc).__name__}: {exc}",
-                traceback.format_exc(),
-            ))
-            continue
-        counters["computed"] += 1
-        outcomes.append(("ok", value, time.perf_counter() - started))
-        if key is not None:
-            try:
-                blob = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                continue  # unpicklable results stay compute-only
-            if local_cache is not None:
-                local_cache.put_blob(fn_name, key, blob,
-                                     meta={"label": label})
-            link.send({
-                "type": "cache_put", "fn": fn_name, "key": key,
-                "blob": encode_blob(blob), "meta": {"label": label},
-            })
-    obs_payload = obs.leave_worker() if obs_ctx is not None else None
     return {
         "type": "result", "task_id": task_id,
         "blob": encode_blob(pickle.dumps(
-            (outcomes, obs_payload), pickle.HIGHEST_PROTOCOL
+            execute_payload(payload, obs_ctx, where="socket"),
+            pickle.HIGHEST_PROTOCOL,
         )),
-        **counters,
     }
 
 
-def run_worker(host, port, cache_dir=None, heartbeat_s=HEARTBEAT_S,
-               on_event=None):
+def run_worker(host, port, heartbeat_s=HEARTBEAT_S, on_event=None):
     """Join a coordinator and serve jobs until it shuts us down.
 
     ``on_event(kind, detail)`` (optional) observes lifecycle moments
@@ -164,19 +59,20 @@ def run_worker(host, port, cache_dir=None, heartbeat_s=HEARTBEAT_S,
     notify = on_event or (lambda kind, detail: None)
     sock = socket.create_connection((host, int(port)))
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    link = _Link(sock)
-    local_cache = ResultCache(cache_dir) if cache_dir else None
-    link.send({
-        "type": "hello", "pid": os.getpid(),
-        "host": socket.gethostname(), "cache": bool(cache_dir),
-    })
+    write_lock = threading.Lock()
+
+    def send(frame):
+        send_frame(sock, frame, lock=write_lock)
+
+    send({"type": "hello", "pid": os.getpid(),
+          "host": socket.gethostname()})
 
     stop = threading.Event()
 
     def _pinger():
         while not stop.wait(heartbeat_s):
             try:
-                link.send({"type": "ping"})
+                send({"type": "ping"})
             except OSError:
                 return
 
@@ -186,21 +82,17 @@ def run_worker(host, port, cache_dir=None, heartbeat_s=HEARTBEAT_S,
     served = 0
     try:
         while True:
-            if link.deferred:
-                frame = link.deferred.pop(0)
-            else:
-                try:
-                    frame = recv_frame(sock)
-                except (EOFError, OSError):
-                    break
+            try:
+                frame = recv_frame(sock)
+            except (EOFError, OSError):
+                break
             kind = frame.get("type")
             if kind == "welcome":
                 notify("joined", {"worker_id": frame.get("worker_id")})
             elif kind == "job":
                 try:
-                    result = _run_job_frame(link, local_cache, frame)
-                    link.send(result)
-                except (EOFError, OSError):
+                    send(_run_job_frame(frame))
+                except OSError:
                     break  # coordinator went away mid-job
                 served += 1
                 notify("job", {"task_id": frame.get("task_id")})

@@ -10,7 +10,8 @@ The scheduler is one of three layers:
   ``local`` (process pool, the default) or ``socket`` (a coordinator
   that ``repro worker join`` workers attach to);
 - the :class:`~repro.engine.cache.ResultCache` remembers results by
-  content address, sharded with a shared index tier.
+  content address.  This module reads and writes it around dispatch,
+  so executors only run jobs.
 
 Execution strategy for one run:
 
@@ -205,12 +206,6 @@ class Engine:
                 workers=self.jobs,
                 pool_factory=self._pool_factory,
             )
-            # A cluster coordinator answers workers' cache_get probes
-            # from the engine's own cache tier; wire it in when the
-            # backend has a cache slot it didn't fill itself.
-            if (getattr(self._executor, "cache", False) is None
-                    and self.cache is not None):
-                self._executor.cache = self.cache
         self._executor.start()
         self.metrics.executor = self._executor.name
         return self._executor
@@ -497,10 +492,7 @@ class Engine:
 
         def dispatch(node):
             job = node.job
-            entry = (
-                job.fn, effective_params(node), job.seed, job.label,
-                node.key if job.cached else None,
-            )
+            entry = (job.fn, effective_params(node), job.seed, job.label)
             task_id = f"{prefix}:{node.index}"
             executor.submit(task_id, [entry], obs_ctx)
             node.status = DISPATCHED

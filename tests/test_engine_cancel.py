@@ -127,6 +127,11 @@ class TestCacheGC:
             cache.put("test.fn", f"{index:064x}",
                       {"payload": "x" * 100, "index": index})
 
+    def _files(self, cache):
+        return sorted(path.relative_to(cache.root).as_posix()
+                      for path in cache.root.rglob("*")
+                      if path.is_file())
+
     def test_stats_reports_cache_bytes(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         self._fill(cache, 3)
@@ -171,10 +176,16 @@ class TestCacheGC:
     def test_gc_zero_budget_clears_everything(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         self._fill(cache, 3)
+        # One flat layout: nothing but the entries themselves.
+        assert self._files(cache) == sorted(
+            f"test.fn/{index:064x}{suffix}"
+            for index in range(3) for suffix in (".json", ".pkl")
+        )
         report = cache.gc(max_bytes=0)
         assert report["evicted_entries"] == 3
         assert report["after_bytes"] == 0
         assert cache.stats()["entries"] == 0
+        assert self._files(cache) == []
 
     def test_gc_within_budget_is_noop(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

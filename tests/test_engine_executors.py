@@ -4,8 +4,9 @@ killed worker's jobs are requeued exactly once.
 The differential classes are the acceptance check of the pluggable
 executor layer: the yield study, the DSE sweep, and a conformance
 campaign must be byte-identical serially and over ``socket`` (served
-by two real subprocess workers), and ``repro yield`` must print the
-same table serially and with ``--jobs 2``.  The kill class exercises
+by two real subprocess workers), cold and warm on the engine's cache,
+and ``repro yield`` must print the same table serially and with
+``--jobs 2``.  The kill class exercises
 the fault model directly against the executor protocol.
 """
 
@@ -41,7 +42,7 @@ def _canon(value):
     return json.dumps(value, sort_keys=True, default=repr).encode()
 
 
-def _spawn_worker(host, port, cache_dir=None):
+def _spawn_worker(host, port):
     """A real ``repro worker join`` process (what the CLI runs)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -50,8 +51,7 @@ def _spawn_worker(host, port, cache_dir=None):
     )
     code = (
         "from repro.engine.executors.worker import run_worker\n"
-        f"run_worker({host!r}, {port}, "
-        f"cache_dir={str(cache_dir) if cache_dir else None!r})\n"
+        f"run_worker({host!r}, {port})\n"
     )
     return subprocess.Popen(
         [sys.executable, "-c", code], env=env,
@@ -137,6 +137,40 @@ class TestSocketDifferential:
         assert _canon(_campaign_fingerprint(summary)) == \
             _canon(_campaign_fingerprint(baselines["conform"]))
 
+    def test_cached_yield_cold_then_warm(self, netlist, baselines,
+                                         cluster, tmp_path,
+                                         monkeypatch):
+        """The engine's cache is the only tier: a cold socket run
+        stores each wafer once, flat, and a warm rerun never reaches
+        the cluster."""
+        monkeypatch.setenv("REPRO_STATE_DIR", str(tmp_path / "state"))
+        _engine, executor = cluster
+        root = tmp_path / "cache"
+        # Not closed: the cluster fixture owns the executor.
+        cold = Engine(jobs=2, cache=root, executor=executor)
+        summary = run_yield_study(netlist, FC4_WAFER, wafers=3,
+                                  seed=2022, engine=cold)
+        assert _canon(summary) == _canon(baselines["yield"])
+        assert cold.executor is executor
+        assert cold.metrics.cache_misses == 3
+
+        files = sorted(path.relative_to(root).as_posix()
+                       for path in root.rglob("*") if path.is_file())
+        keys = sorted(path.stem for path in root.rglob("*.pkl"))
+        assert len(keys) == 3
+        assert files == sorted(
+            ["last_run.json"]
+            + [f"fab.wafer_yield/{key}{suffix}"
+               for key in keys for suffix in (".json", ".pkl")]
+        )
+
+        warm = Engine(jobs=2, cache=root, executor=executor)
+        assert run_yield_study(netlist, FC4_WAFER, wafers=3,
+                               seed=2022, engine=warm) == summary
+        assert warm.metrics.cache_hits == 3
+        assert warm.metrics.cache_misses == 0
+        assert warm.executor is None
+
 
 class TestCliDifferential:
     def test_yield_table_bytes_match_across_executors(self, capsys):
@@ -188,7 +222,7 @@ class TestSocketWorkerDeath:
                                    (3, 0.05)):
                 executor.submit(task_id, [(
                     sleepy_job, {"value": task_id, "delay": delay},
-                    None, f"sleepy{task_id}", None,
+                    None, f"sleepy{task_id}",
                 )], None)
             deadline = time.monotonic() + 15.0
             while True:

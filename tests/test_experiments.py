@@ -1,5 +1,7 @@
 """Experiment entry points: structured data sanity + formatting."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import figures, paper_data, tables
@@ -192,3 +194,7 @@ class TestFormatting:
         assert path.exists()
         assert "Table 5" in document
         assert "Figure 13" in document
+        # The committed EXPERIMENTS.md is exactly what the program
+        # prints; regenerate it with `repro report -o EXPERIMENTS.md`.
+        committed = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
+        assert document == committed.read_text(encoding="utf-8")
