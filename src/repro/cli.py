@@ -25,16 +25,11 @@ results are bit-identical at any worker count.  The same commands take
 (Chrome ``trace_event`` JSON), ``--log-level``/``--quiet``; the
 collected run persists to the state directory for ``repro obs``.
 
-Commands that run gate-level simulation (``yield``, ``dse``,
-``pareto``, ``conform run``) take ``--backend
-interpreted|compiled|vector`` to pick the simulation backend
-(default: compiled, the 64-lane bit-parallel engine; ``interpreted``
-is the single-lane reference; ``vector`` evaluates wafer-scale NumPy
-lane arrays -- see docs/GATESIM.md).  An unknown backend name exits 2
-with a one-line error.  ``yield --fault-check N`` additionally grounds
-the yield model with an N-fault stuck-at injection campaign per core,
-and ``yield --gate-level`` recomputes the Table 5 yields by actually
-simulating every fabricated die at the gate level.
+``yield --fault-check N`` additionally grounds the yield model with an
+N-fault stuck-at injection campaign per core, and ``yield --gate-level``
+recomputes the Table 5 yields by actually simulating every fabricated
+die at the gate level.  The gate-level simulator is picked from the
+lane count, not by a flag (see docs/GATESIM.md).
 """
 
 import argparse
@@ -52,16 +47,23 @@ def _add_isa_argument(parser, default="flexicore4"):
     )
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(minimum, kind):
+    """An argparse ``type``: an integer >= ``minimum``, else exit 2."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be a {kind} integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be a {kind} integer, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def _add_engine_arguments(parser):
@@ -142,32 +144,6 @@ def _configure_engine(args):
     cache = None if args.no_cache else (args.cache_dir or True)
     return engine.configure(jobs=args.jobs, cache=cache, hooks=hooks,
                             executor=_executor_spec(args))
-
-
-def _add_backend_argument(parser):
-    # No argparse `choices`: the registry validates in
-    # _configure_backend, so every command rejects an unknown backend
-    # the same way (one `error:` line, exit 2) instead of argparse's
-    # usage dump on some paths and a traceback on others.
-    parser.add_argument(
-        "--backend", default="compiled",
-        help="gate-level simulation backend: 'compiled' (default, the "
-             "64-lane bit-parallel engine), 'vector' (wafer-scale "
-             "NumPy lane arrays), or 'interpreted' (the single-lane "
-             "reference)",
-    )
-
-
-def _configure_backend(args):
-    """Install the process-wide default simulation backend.
-
-    Raises ``ValueError`` on an unknown name, which :func:`main` turns
-    into a one-line ``error:`` message and exit status 2.
-    """
-    from repro.netlist import backend
-
-    backend.configure(args.backend)
-    return args.backend
 
 
 def _add_obs_arguments(parser):
@@ -309,17 +285,14 @@ def cmd_yield(args):
     from repro.experiments.tables import format_table5
 
     engine = _configure_engine(args)
-    backend = _configure_backend(args)
     print(format_table5(wafers=args.wafers, seed=args.seed))
     if args.fault_check:
         from repro.fab.yield_model import run_fault_coverage
 
-        coverage = run_fault_coverage(
-            seed=args.seed, faults=args.fault_check, backend=backend,
-        )
+        coverage = run_fault_coverage(seed=args.seed,
+                                      faults=args.fault_check)
         print()
-        print(f"fault coverage ({args.fault_check} stuck-at "
-              f"faults/core, {backend} backend):")
+        print(f"fault coverage ({args.fault_check} stuck-at faults/core):")
         for core, study in coverage.items():
             print(f"  {core:<12} {study['detected']}/{study['injected']}"
                   f" detected ({100 * study['coverage']:.0f}%)")
@@ -328,12 +301,11 @@ def cmd_yield(args):
         from repro.fab.yield_model import run_gate_yield_study
 
         print()
-        print(f"gate-level yield ({args.wafers} wafers/core, "
-              f"{backend} backend):")
+        print(f"gate-level yield ({args.wafers} wafers/core):")
         for core in ("flexicore4", "flexicore8"):
             study = run_gate_yield_study(
                 process_for(core), seed=args.seed, core=core,
-                wafers=args.wafers, backend=backend, engine=engine,
+                wafers=args.wafers, engine=engine,
             )
             for voltage, bucket in sorted(study["summary"].items()):
                 print(f"  {core:<12} {voltage:g} V  "
@@ -354,7 +326,6 @@ def cmd_dse(args):
     )
 
     engine = _configure_engine(args)
-    _configure_backend(args)
     print(format_figure12())
     print()
     print(format_figure13())
@@ -370,7 +341,6 @@ def cmd_dse_search(args):
     from repro.dse.space import DesignSpace
 
     engine = _configure_engine(args)
-    _configure_backend(args)
     space_kwargs = {}
     if args.features is not None:
         space_kwargs["features"] = tuple(
@@ -436,7 +406,6 @@ def cmd_pareto(args):
     from repro.dse.explorer import explore, format_frontier
 
     _configure_engine(args)
-    _configure_backend(args)
     metrics = tuple(args.metrics.split(","))
     bus = 8 if args.bus else None
     frontier, points = explore(metrics=metrics, bus_bits=bus)
@@ -741,7 +710,6 @@ def cmd_conform(args):
 
     # action == "run": a fresh cacheless engine -- every campaign must
     # execute its cases, never replay a previous campaign's results.
-    _configure_backend(args)
     engine = Engine(jobs=args.jobs, cache=None,
                     executor=_executor_spec(args))
     oracles = args.oracles.split(",") if args.oracles else None
@@ -988,23 +956,22 @@ def build_parser():
     p.set_defaults(fn=cmd_kernels)
 
     p = sub.add_parser("yield", help="wafer-yield Monte Carlo (Table 5)")
-    p.add_argument("--wafers", type=int, default=6,
+    p.add_argument("--wafers", type=_positive_int, default=6,
                    help="wafers per core in the Monte Carlo (default 6)")
     p.add_argument("--seed", type=int, default=2022)
-    p.add_argument("--fault-check", type=int, default=0, metavar="N",
+    p.add_argument("--fault-check", type=_non_negative_int, default=0,
+                   metavar="N",
                    help="also inject N stuck-at faults per core and "
                         "report how many the probe vectors detect")
     p.add_argument("--gate-level", action="store_true",
                    help="recompute Table 5 by gate-level simulation of "
                         "every fabricated die (one cross-check lane "
-                        "per die; fastest with --backend vector)")
-    _add_backend_argument(p)
+                        "per die)")
     _add_engine_arguments(p)
     _add_obs_arguments(p)
     p.set_defaults(fn=cmd_yield)
 
     p = sub.add_parser("dse", help="design-space exploration summary")
-    _add_backend_argument(p)
     _add_engine_arguments(p)
     _add_obs_arguments(p)
     p.set_defaults(fn=cmd_dse)
@@ -1051,7 +1018,6 @@ def build_parser():
         "--trail", default=None, metavar="PATH",
         help="write the per-evaluation JSONL trail here",
     )
-    _add_backend_argument(d)
     _add_engine_arguments(d)
     _add_obs_arguments(d)
     d.set_defaults(fn=cmd_dse_search)
@@ -1080,7 +1046,6 @@ def build_parser():
                    help="comma list from: area, energy, latency, code")
     p.add_argument("--bus", action="store_true",
                    help="restrict the program bus to 8 bits")
-    _add_backend_argument(p)
     _add_engine_arguments(p)
     _add_obs_arguments(p)
     p.set_defaults(fn=cmd_pareto)
@@ -1196,7 +1161,6 @@ def build_parser():
     c.add_argument("--state-dir", default=None,
                    help="state directory for the failure corpus "
                         "(default: .repro-state or $REPRO_STATE_DIR)")
-    _add_backend_argument(c)
     _add_executor_arguments(c)
     _add_obs_arguments(c)
     c.set_defaults(fn=cmd_conform)

@@ -10,7 +10,9 @@ Everything Figures 9-13 need, measured rather than assumed:
 - *code size* comes from assembling the Table 6 suite against the
   design's ISA with its macro library;
 - *cycles* come from functional simulation plus the
-  :mod:`repro.sim.timing` cycle models at the design's program-bus width.
+  :mod:`repro.sim.timing` cycle models at the design's program-bus width;
+- with ``gate_check`` the netlist is also run at the gate level, in one
+  lane of the compiled backend (:func:`gate_level_check`).
 """
 
 import math
@@ -26,7 +28,7 @@ from repro.dse.designs import ALL_DESIGNS, BASELINE, DesignPoint
 from repro.engine import Job, engine_or_default, job_function
 from repro.kernels.kernel import Target
 from repro.kernels.suite import SUITE
-from repro.netlist.backend import default_backend, make_backend
+from repro.netlist.backend import make_backend, resolve_backend
 from repro.netlist.sta import FETCH_DELAY_UNITS, analyze
 from repro.sim import MicroArch, cycle_count, cycles_multicycle
 from repro.sim.timing import InfeasibleDesign
@@ -115,28 +117,28 @@ def _design_static(design):
     return netlist, report
 
 
-def _run_kernel(kernel, target, transactions, seed, fastpath=None):
+def _run_kernel(kernel, target, transactions, seed):
     rng = np.random.default_rng(seed)
     inputs = kernel.generate_inputs(rng, transactions)
-    result = kernel.check(target, inputs, fastpath=fastpath)
+    result = kernel.check(target, inputs)
     program = kernel.program(target)
     return program, result.stats
 
 
-def gate_level_check(design, backend=None, cycles=64, seed=2022):
+def gate_level_check(design, cycles=64, seed=2022):
     """Ground a design point's netlist in gate-level simulation.
 
     The analytical metrics (area, STA period, cycle models) never
-    actually *run* the netlist; this does, on the selected
-    :mod:`repro.netlist.backend` (``"interpreted"`` / ``"compiled"`` /
-    ``"vector"``).  The baseline design -- whose netlist
-    is the fabricated, ISA-verified FlexiCore4 -- is cross-checked
-    against its ISA model over the directed test program.  The DSE
-    netlists model hardware with no cycle-accurate ISA twin, so they
-    get a random-stimulus run instead: the check confirms the netlist
-    levelizes, simulates, and toggles on the chosen backend.
+    actually *run* the netlist; this does, in one simulation lane of
+    :mod:`repro.netlist.backend` (so on the compiled backend, the
+    lane-count rule's pick for one lane).  The baseline design -- whose
+    netlist is the fabricated, ISA-verified FlexiCore4 -- is
+    cross-checked against its ISA model over the directed test
+    program.  The DSE netlists model hardware with no cycle-accurate
+    ISA twin, so they get a random-stimulus run instead: the check
+    confirms the netlist levelizes, simulates, and toggles.
     """
-    backend = backend or default_backend()
+    backend = resolve_backend(None).name
     netlist, _ = _design_static(design)
     if design.is_baseline:
         from repro.fab.testing import directed_program
@@ -181,27 +183,21 @@ def gate_level_check(design, backend=None, cycles=64, seed=2022):
 
 
 def evaluate_design(design, transactions=12, seed=2022, vdd=4.5,
-                    bus_bits=None, gate_check=False, backend=None,
-                    fastpath=None):
+                    bus_bits=None, gate_check=False):
     """Measure one design point over the whole Table 6 suite.
 
     ``bus_bits`` restricts the program-memory bus (Figure 13's "(Bus)"
     configuration uses 8); by default each design gets a bus wide enough
     to fetch one instruction per cycle, as the paper assumes first.
     With ``gate_check=True`` the metrics also carry a
-    :func:`gate_level_check` run on the selected simulation ``backend``.
-    ``fastpath=False`` forces the reference ISA-simulator step loop for
-    the kernel runs.
+    :func:`gate_level_check` run.
     """
     started = time.perf_counter()
     with obs.span("dse.evaluate", design=design.name):
-        metrics = _evaluate_design(
-            design, transactions, seed, vdd, bus_bits, fastpath
-        )
+        metrics = _evaluate_design(design, transactions, seed, vdd,
+                                   bus_bits)
         if gate_check:
-            metrics.gate_check = gate_level_check(
-                design, backend=backend, seed=seed
-            )
+            metrics.gate_check = gate_level_check(design, seed=seed)
     if obs.active():
         registry = obs.registry()
         registry.counter(
@@ -214,8 +210,7 @@ def evaluate_design(design, transactions=12, seed=2022, vdd=4.5,
     return metrics
 
 
-def _evaluate_design(design, transactions, seed, vdd, bus_bits,
-                     fastpath=None):
+def _evaluate_design(design, transactions, seed, vdd, bus_bits):
     netlist, report = _design_static(design)
     punits = period_units(report, design.microarch)
     period_s = punits * SECONDS_PER_DELAY_UNIT
@@ -251,9 +246,7 @@ def _evaluate_design(design, transactions, seed, vdd, bus_bits,
         and effective_bus < min_instr_bits
     )
     for kernel in SUITE:
-        program, stats = _run_kernel(
-            kernel, target, transactions, seed, fastpath=fastpath,
-        )
+        program, stats = _run_kernel(kernel, target, transactions, seed)
         if design.microarch == MicroArch.MULTICYCLE:
             # The multicycle load-store machine trades its second register
             # port for an extra operand-read cycle (Section 6.2): CPI 3
@@ -295,24 +288,18 @@ def evaluate_design_job(params, seed):
         seed=params["seed"],
         bus_bits=params["bus_bits"],
         gate_check=params.get("gate_check", False),
-        backend=params.get("backend"),
-        fastpath=params.get("fastpath"),
     )
 
 
 def evaluate_all(designs=ALL_DESIGNS, transactions=12, seed=2022,
-                 bus_bits=None, engine=None, gate_check=False,
-                 backend=None, fastpath=None):
+                 bus_bits=None, engine=None, gate_check=False):
     """Evaluate a set of designs; returns {design name: DesignMetrics}.
 
     Each design point is one engine job: with ``engine`` (or the
     process-wide default) configured for multiple workers the designs
     evaluate in parallel, and with a cache the whole sweep is a lookup.
-    ``gate_check``/``backend`` thread through to
-    :func:`evaluate_design`; the gate-check knobs -- and a non-default
-    ``fastpath`` -- join the cache key only when set, so existing
-    cached sweeps stay valid (both simulator paths are bit-identical,
-    so the cached value is too).
+    ``gate_check`` threads through to :func:`evaluate_design`; it joins
+    the cache key only when set, so existing cached sweeps stay valid.
     """
     designs = list(designs)
     seen = {}
@@ -332,9 +319,7 @@ def evaluate_all(designs=ALL_DESIGNS, transactions=12, seed=2022,
             evaluate_design_job,
             {"design": design, "transactions": transactions,
              "seed": seed, "bus_bits": bus_bits,
-             **({"gate_check": True, "backend": backend or
-                 default_backend()} if gate_check else {}),
-             **({"fastpath": fastpath} if fastpath is not None else {})},
+             **({"gate_check": True} if gate_check else {})},
             label=f"dse:{design.name}"
                   + (f":bus{bus_bits}" if bus_bits else ""),
         ))

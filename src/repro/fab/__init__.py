@@ -4,7 +4,6 @@ from repro.fab.process import FC4_WAFER, FC8_WAFER, WaferProcess, process_for
 from repro.fab.testing import (
     FaultStudyResult,
     directed_program,
-    fault_chunk_size,
     fault_injection_study,
     fault_study_job,
     random_program,
@@ -40,7 +39,7 @@ __all__ = [
     "EDGE_EXCLUSION_MM", "FC4_WAFER", "FC8_WAFER", "FabricatedWafer",
     "FaultStudyResult", "ProbeRecord", "TEST_CYCLES", "WAFER_DIAMETER_MM",
     "Wafer", "WaferProbeResult", "WaferProcess", "directed_program",
-    "fabricate_wafer", "fault_chunk_size", "fault_injection_study",
+    "fabricate_wafer", "fault_injection_study",
     "fault_study_job", "gate_probe_wafer", "gate_wafer_yield_job",
     "probed_wafer_job", "process_for", "random_program",
     "run_fault_coverage", "run_gate_yield_study", "run_yield_study",

@@ -10,6 +10,10 @@ natural stimulus for a processor with an off-chip instruction bus), and
 validates the yield model's core assumption -- that structural defects
 are observable at the outputs -- by injecting stuck-at faults into the
 gate-level netlist and measuring the detection rate.
+
+Campaigns run one fault per simulation lane of a
+:mod:`repro.netlist.backend` that the lane count picks: compiled up to
+64 faults, vector above.  Every backend gives identical verdicts.
 """
 
 from dataclasses import dataclass
@@ -21,19 +25,8 @@ import numpy as np
 from repro import obs
 from repro.asm import assemble
 from repro.engine import job_function
-from repro.netlist.backend import default_backend, resolve_backend
+from repro.netlist.backend import resolve_backend
 from repro.netlist.verify import run_cross_check, run_cross_check_batch
-
-
-def fault_chunk_size(backend=None):
-    """Fault-campaign chunk size for ``backend``: its lane capacity.
-
-    Campaign drivers size their chunks from the *selected* backend's
-    ``max_lanes`` (64 for compiled, wafer-scale for vector) rather than
-    a hardcoded word width, so the final chunk carries exactly the
-    leftover faults instead of padding idle lanes.
-    """
-    return max(1, resolve_backend(backend).max_lanes)
 
 
 def directed_program(isa):
@@ -132,35 +125,30 @@ def sample_fault_sites(netlist, rng, count):
 
 
 def fault_injection_study(netlist, isa, rng, faults=20,
-                          max_instructions=300, backend=None,
-                          fastpath=True):
+                          max_instructions=300, backend=None):
     """Inject random stuck-at faults and check the vectors catch them.
 
     This grounds the yield model: a die with any structural defect is
     assumed non-functional, which is only fair if the test vectors would
     actually observe the defect.
 
-    The fault list is packed into the lanes of the selected
-    :mod:`repro.netlist.backend`, chunked by :func:`fault_chunk_size`:
-    the compiled backend takes a 64-fault chunk per simulation run, the
-    vector backend takes the whole campaign (every fault one lane of a
-    wafer-scale array) in a single run.  ``fastpath`` selects the
-    predecoded ISA replay (``False`` keeps the per-instruction decode
-    reference).
+    The fault list is packed into the lanes of one
+    :mod:`repro.netlist.backend` run: with ``backend=None`` a campaign
+    of up to 64 faults runs on the compiled backend (one machine word),
+    a larger one on the vector backend (every fault one lane of a
+    wafer-scale array).
     """
     program = directed_program(isa)
     inputs = [int(rng.integers(0, 16)) for _ in range(64)]
     sites = sample_fault_sites(netlist, rng, faults)
-    chunk = fault_chunk_size(backend)
     detected = 0
     details = []
     with obs.span("fab.fault_injection", faults=len(sites),
-                  chunks=-(-len(sites) // chunk) if sites else 0,
-                  backend=backend or default_backend()):
+                  backend=resolve_backend(backend, len(sites)).name):
         results = run_cross_check_batch(
             netlist, isa, program, inputs=inputs,
             max_instructions=max_instructions,
-            faults=sites, backend=backend, fastpath=fastpath,
+            faults=sites, backend=backend,
         )
         for (gate_name, stuck), result in zip(sites, results):
             caught = not result.passed
@@ -183,18 +171,16 @@ def fault_injection_study(netlist, isa, rng, faults=20,
     )
 
 
-def toggle_coverage_study(netlist, isa, rng, instructions=2000,
-                          backend=None, fastpath=True):
+def toggle_coverage_study(netlist, isa, rng, instructions=2000):
     """Run the directed program long enough to measure toggle coverage,
-    the Section 4.1 metric."""
+    the Section 4.1 metric (one lane, so the compiled backend)."""
     program = directed_program(isa)
     inputs = [int(rng.integers(0, 16)) for _ in range(4096)]
     with obs.span("fab.toggle_coverage", instructions=instructions,
-                  backend=backend or default_backend()):
+                  backend=resolve_backend(None).name):
         result = run_cross_check(
             netlist, isa, program, inputs=inputs,
-            max_instructions=instructions, backend=backend,
-            fastpath=fastpath,
+            max_instructions=instructions,
         )
     return result
 
@@ -212,14 +198,10 @@ def _core_for_testing(core):
 def fault_study_job(params, seed):
     """Engine job: one fault-injection campaign on a registered core.
 
-    The payload names the core, the ISA, the fault count *and the
-    simulation backend*, so the campaign runs identically (and caches
-    under a distinct key) whichever worker process picks it up.
-
-    Version 2: campaign chunks are sized from the selected backend's
-    lane capacity (see :func:`fault_chunk_size`) -- under the vector
-    backend a whole campaign is one simulation run, and the per-chunk
-    obs accounting differs from version 1's fixed 64-lane chunking.
+    The payload names the core, the ISA and the fault count; the
+    backend follows from the fault count, and every backend gives
+    bit-identical verdicts, so the campaign runs identically whichever
+    worker process picks it up.
     """
     from repro.isa import get_isa
 
@@ -228,8 +210,6 @@ def fault_study_job(params, seed):
         netlist, get_isa(params["isa"]), seed.rng(),
         faults=params["faults"],
         max_instructions=params.get("max_instructions", 300),
-        backend=params["backend"],
-        fastpath=params.get("fastpath", True),
     )
     return {
         "injected": study.injected,

@@ -32,7 +32,7 @@ from repro.engine import Job, engine_or_default, job_function, spawn_seeds
 from repro.fab.process import WaferProcess
 from repro.fab.testing import fault_study_job
 from repro.fab.wafer import Wafer
-from repro.netlist.backend import default_backend
+from repro.netlist.backend import resolve_backend
 from repro.netlist.verify import run_cross_check_batch
 from repro.tech import tft
 from repro.tech.power import FMAX_HZ, OperatingPoint, static_power_w
@@ -393,7 +393,8 @@ def gate_probe_wafer(netlist, isa, fabricated, rng, voltages=(3.0, 4.5),
     distinct stuck-at sites (its whole multi-defect draw occupying one
     lane), and the entire wafer runs as a single
     :func:`~repro.netlist.verify.run_cross_check_batch` campaign --
-    under the vector backend, one settle pass advances all 124 dies at
+    under the vector backend (``backend=None`` picks it for any wafer
+    of more than 64 dies), one settle pass advances all 124 dies at
     once.  Mismatch counts are voltage-independent (a stuck gate fails
     the vectors at any supply), so one gate campaign serves every
     probe voltage; timing is classified analytically per voltage from
@@ -422,7 +423,7 @@ def gate_probe_wafer(netlist, isa, fabricated, rng, voltages=(3.0, 4.5),
     program = directed_program(isa)
     inputs = [int(value) for value in rng.integers(0, 16, size=64)]
     with obs.span("fab.gate_probe", dies=len(dies),
-                  backend=backend or default_backend()):
+                  backend=resolve_backend(backend, len(dies)).name):
         outcomes = run_cross_check_batch(
             netlist, isa, program, inputs=inputs,
             max_instructions=max_instructions, faults=faults,
@@ -507,8 +508,7 @@ def gate_wafer_yield_job(params, seed):
     """
     from repro.isa import get_isa
 
-    with obs.span("fab.gate_wafer_yield", core=params["core"],
-                  backend=params["backend"]):
+    with obs.span("fab.gate_wafer_yield", core=params["core"]):
         netlist, report = _core_static(params["core"])
         rng = seed.rng()
         with obs.span("fab.fabricate", core=params["core"]):
@@ -540,18 +540,19 @@ def gate_wafer_yield_job(params, seed):
 
 
 def run_gate_yield_study(process, *, seed, core="flexicore4", wafers=5,
-                         voltages=(3.0, 4.5), backend="vector",
+                         voltages=(3.0, 4.5), backend=None,
                          max_instructions=120, engine=None):
     """The Table 5 study with every die *simulated*, not modelled.
 
     One engine job per wafer (see :func:`gate_wafer_yield_job`); each
     job runs its whole wafer as a single gate-level campaign through
-    ``backend`` (default ``"vector"``, whose lane capacity covers any
-    wafer).  Returns ``{"summary": {voltage: table5_row},
-    "wafers": [per-wafer job results]}`` -- the summary matches
-    :func:`run_yield_study`'s shape, the wafer entries carry the
-    gate-level Figure 6 error maps and the per-die fault sites needed
-    to cross-check sampled dies against the interpreted reference.
+    ``backend`` (``None`` picks it from the die count: ``"vector"``
+    for a full 124-die wafer).  Returns ``{"summary": {voltage:
+    table5_row}, "wafers": [per-wafer job results]}`` -- the summary
+    matches :func:`run_yield_study`'s shape, the wafer entries carry
+    the gate-level Figure 6 error maps and the per-die fault sites
+    needed to cross-check sampled dies against the interpreted
+    reference.
     """
     eng = engine_or_default(engine)
     nodes = [
@@ -574,29 +575,26 @@ def run_gate_yield_study(process, *, seed, core="flexicore4", wafers=5,
 
 
 def run_fault_coverage(cores=("flexicore4", "flexicore8"), *, seed,
-                       faults=20, backend=None, max_instructions=300,
-                       engine=None):
+                       faults=20, max_instructions=300, engine=None):
     """Measured stuck-at fault coverage per core, through the engine.
 
     The yield model assumes any structural defect makes a die
     non-functional; this runs the Section 4.1 fault-injection campaign
-    (one engine job per core, batched into simulation lanes by the
-    selected backend) to measure how often the probe vectors would
-    actually observe a defect.  Returns ``{core: {"injected": n,
-    "detected": n, "coverage": fraction, "details": [...]}}``.
+    (one engine job per core, one fault per simulation lane) to
+    measure how often the probe vectors would actually observe a
+    defect.  Returns ``{core: {"injected": n, "detected": n,
+    "coverage": fraction, "details": [...]}}``.
     """
-    backend = backend or default_backend()
     eng = engine_or_default(engine)
     nodes = [
-        eng.submit(_fault_job(core, child, faults, max_instructions,
-                              backend))
+        eng.submit(_fault_job(core, child, faults, max_instructions))
         for core, child in zip(cores, spawn_seeds(seed, len(cores)))
     ]
     eng.run_graph(stage="fault-coverage")
     return {core: node.result for core, node in zip(cores, nodes)}
 
 
-def _fault_job(core, child, faults, max_instructions, backend):
+def _fault_job(core, child, faults, max_instructions):
     """The fault-injection campaign job for one core.
 
     Shared by :func:`run_fault_coverage` and the yield graph's fault
@@ -605,23 +603,22 @@ def _fault_job(core, child, faults, max_instructions, backend):
     return Job(
         fault_study_job,
         {"core": core, "isa": core, "faults": faults,
-         "max_instructions": max_instructions, "backend": backend},
+         "max_instructions": max_instructions},
         seed=child,
-        label=f"faults:{core}:{backend}",
+        label=f"faults:{core}",
     )
 
 
 def run_yield_study(netlist, process, rng=None, wafers=5,
                     voltages=(3.0, 4.5), *, seed=None, core=None,
-                    engine=None, fault_check=0, backend=None):
+                    engine=None, fault_check=0):
     """Monte Carlo over several wafers: the Table 5 numbers.
 
     Returns {voltage: {"full": fraction, "inclusion": fraction,
     "mean_current_ma": .., "rsd": ..}} aggregated over wafers.
     With ``fault_check=N`` (engine-seeded mode only) the summary also
     carries a ``"fault_coverage"`` entry: an N-fault injection campaign
-    on the core, run through the selected simulation ``backend``, that
-    grounds the defect=non-functional assumption.
+    on the core that grounds the defect=non-functional assumption.
 
     Two seeding modes:
 
@@ -657,9 +654,7 @@ def run_yield_study(netlist, process, rng=None, wafers=5,
         fault_node = None
         if fault_check:
             fault_node = eng.submit(_fault_job(
-                core, children[wafers], fault_check, 300,
-                backend or default_backend(),
-            ))
+                core, children[wafers], fault_check, 300))
         wafer_nodes = [
             eng.submit(Job(
                 wafer_yield_job,

@@ -9,11 +9,8 @@ from repro.netlist.dse_cores import (
 )
 from repro.netlist.backend import (
     CompiledBackend,
-    InterpretedBackend,
     SimBackend,
     VectorBackend,
-    configure,
-    default_backend,
     make_backend,
 )
 from repro.netlist.export import to_verilog
@@ -34,7 +31,6 @@ __all__ = [
     "FETCH_DELAY_UNITS",
     "GateInst",
     "GateLevelSimulator",
-    "InterpretedBackend",
     "Netlist",
     "NetlistBuilder",
     "SimBackend",
@@ -45,8 +41,6 @@ __all__ = [
     "build_flexicore4",
     "build_flexicore8",
     "build_loadstore_core",
-    "configure",
-    "default_backend",
     "levelize",
     "make_backend",
     "render_floorplan",

@@ -3,8 +3,8 @@
 Three implementations of :class:`SimBackend`:
 
 - ``"interpreted"`` -- the per-gate dict interpreter
-  (:class:`InterpretedBackend`), one lane per instance, kept as the
-  bit-exact reference;
+  (:class:`~repro.netlist.sim.GateLevelSimulator`), one lane per
+  instance, kept as the bit-exact reference;
 - ``"compiled"`` -- the levelized bit-parallel evaluator
   (:class:`CompiledBackend`), packing up to 64 independent fault lanes
   into the bits of 64-bit words, so one settle pass simulates a whole
@@ -14,18 +14,16 @@ Three implementations of :class:`SimBackend`:
   ``(words,)`` per net, so capacity is ``64 x words`` lanes and one
   settle pass advances every die on a wafer.
 
-Consumers (cross-checks, fault campaigns, toggle studies, the CLI)
-select a backend by name; ``None`` means the process-wide default set
-by :func:`configure` (see the ``--backend`` CLI flag).  See
-``docs/GATESIM.md`` for lane packing, levelization, and guidance on
-choosing a backend.
+Consumers (cross-checks, fault campaigns, toggle studies) name a
+backend, or pass ``None`` to pick one from the lane count:
+``compiled`` up to 64 lanes, ``vector`` above (:func:`resolve_backend`).
+See ``docs/GATESIM.md`` for lane packing, levelization, and the
+measurements behind that rule.
 """
 
 from repro.netlist.backend.base import (
     BACKENDS,
     SimBackend,
-    configure,
-    default_backend,
     lane_fault_list,
     make_backend,
     resolve_backend,
@@ -35,7 +33,7 @@ from repro.netlist.backend.compiled import (
     WORD_LANES,
     CompiledBackend,
 )
-from repro.netlist.backend.interpreted import InterpretedBackend
+from repro.netlist.sim import GateLevelSimulator
 from repro.netlist.backend.vector import VECTOR_MAX_LANES, VectorBackend
 from repro.netlist.levelize import CombinationalLoopError, levelize
 
@@ -44,13 +42,11 @@ __all__ = [
     "CombinationalLoopError",
     "CompiledBackend",
     "FULL_MASK",
-    "InterpretedBackend",
+    "GateLevelSimulator",
     "SimBackend",
     "VECTOR_MAX_LANES",
     "VectorBackend",
     "WORD_LANES",
-    "configure",
-    "default_backend",
     "lane_fault_list",
     "levelize",
     "make_backend",

@@ -12,14 +12,10 @@ lanes so a single settle pass evaluates every die on a wafer.
 
 Consumers address backends by name (``"interpreted"`` /
 ``"compiled"`` / ``"vector"``) through :func:`make_backend`; ``None``
-resolves to the process-wide default installed by :func:`configure`
-(the CLI's ``--backend`` flag lands there).
+picks one from the lane count (see :func:`resolve_backend`).
 """
 
 from abc import ABC, abstractmethod
-
-_DEFAULT_BACKEND = "compiled"
-_default_name = _DEFAULT_BACKEND
 
 #: name -> backend class; filled in by repro.netlist.backend.__init__.
 BACKENDS = {}
@@ -31,30 +27,16 @@ def register_backend(cls):
     return cls
 
 
-def configure(default=None):
-    """Install the process-wide default backend name (CLI ``--backend``).
+def resolve_backend(name, lanes=1):
+    """Map a backend spec to a registered class.
 
-    Returns the active default.  ``configure()`` with no argument resets
-    to the library default ("compiled").
+    ``None`` chooses from the lane count: ``compiled`` while the lanes
+    fit its one 64-bit word, ``vector`` above, where a 65th lane would
+    cost ``compiled`` a second run (timings in docs/GATESIM.md).
     """
-    global _default_name
-    name = default or _DEFAULT_BACKEND
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r}; choose from {sorted(BACKENDS)}"
-        )
-    _default_name = name
-    return _default_name
-
-
-def default_backend():
-    """Name of the process-wide default backend."""
-    return _default_name
-
-
-def resolve_backend(name):
-    """Map a backend spec (name or None) to a registered class."""
-    name = name or _default_name
+    if name is None:
+        fits = lanes <= BACKENDS["compiled"].max_lanes
+        name = "compiled" if fits else "vector"
     try:
         return BACKENDS[name]
     except KeyError:
@@ -65,8 +47,7 @@ def resolve_backend(name):
 
 def make_backend(name, netlist, lanes=1):
     """Instantiate a backend over ``netlist`` with ``lanes`` fault lanes."""
-    cls = resolve_backend(name)
-    return cls(netlist, lanes=lanes)
+    return resolve_backend(name, lanes)(netlist, lanes=lanes)
 
 
 def lane_fault_list(entry):
@@ -206,10 +187,9 @@ class SimBackend(ABC):
         equivalent serial one.
         """
 
-    # -- shared helpers for packed backends ---------------------------
-    # These assume the dense-net-numbering attributes (`_net_ids`,
-    # `_bus_cache`, `_lanes`) that the compiled and vector backends
-    # both maintain.
+    # -- shared helpers ------------------------------------------------
+    # The bus helpers assume the dense net numbering (`_net_ids`,
+    # `_bus_cache`) of the packed backends; every backend keeps `_lanes`.
 
     def _bus_nets(self, stem):
         """Net indices of ``stem0..N`` (empty when no such bus)."""

@@ -6,9 +6,18 @@ them in topological order and updates every DFF on the clock edge.
 Toggle counts per gate output support the Section 4.1 test-coverage
 claim ("gates toggling on average 24,060 times, and all gates toggle at
 least once").
+
+:class:`GateLevelSimulator` is the ``"interpreted"`` backend of
+:mod:`repro.netlist.backend`: one lane per instance, the bit-exact
+reference the compiled and vector backends are checked against.
 """
 
 from repro import obs
+from repro.netlist.backend.base import (
+    SimBackend,
+    lane_fault_list,
+    register_backend,
+)
 from repro.netlist.core import Netlist
 from repro.netlist.levelize import CombinationalLoopError, levelize
 
@@ -34,11 +43,20 @@ def _evaluate(function, values):
     raise ValueError(f"cannot evaluate cell function '{function}'")
 
 
-class GateLevelSimulator:
-    """Synchronous two-phase simulation of a netlist."""
+@register_backend
+class GateLevelSimulator(SimBackend):
+    """Synchronous two-phase simulation of a netlist (single lane)."""
 
-    def __init__(self, netlist: Netlist):
+    name = "interpreted"
+    max_lanes = 1
+
+    def __init__(self, netlist: Netlist, lanes=1):
+        if lanes != 1:
+            raise ValueError(
+                f"the interpreted backend is single-lane, got lanes={lanes}"
+            )
         netlist.validate()
+        self._lanes = 1
         self.netlist = netlist
         self.values = {net: value for net, value in netlist.constants.items()}
         for net in netlist.inputs:
@@ -46,9 +64,9 @@ class GateLevelSimulator:
         self._flops = [g for g in netlist.gates if g.sequential]
         for flop in self._flops:
             self.values[flop.output] = 0
-        self._order = self._levelize()
-        self.toggles = {gate.name: 0 for gate in netlist.gates}
-        self.cycles = 0
+        self._order = levelize(netlist)
+        self._toggles = {gate.name: 0 for gate in netlist.gates}
+        self._cycles = 0
         #: Local observability tallies (two integer adds per settle
         #: pass -- cheap enough to keep unconditionally).  Folded into
         #: the process-wide registry by :meth:`flush_obs`.
@@ -61,10 +79,13 @@ class GateLevelSimulator:
         # Settle combinational logic against the all-zero state.
         self._settle(count_toggles=False)
 
-    def _levelize(self):
-        """Topological order of combinational gates (shared with the
-        backend layer and STA via :mod:`repro.netlist.levelize`)."""
-        return levelize(self.netlist)
+    @property
+    def lanes(self):
+        return self._lanes
+
+    @property
+    def cycles(self):
+        return self._cycles
 
     # ------------------------------------------------------------------
 
@@ -77,11 +98,7 @@ class GateLevelSimulator:
         """
         for name, value in assignments.items():
             if name in self.values or name in self.netlist.inputs:
-                if value not in (0, 1):
-                    raise ValueError(
-                        f"input '{name}' is a single net; value must "
-                        f"be 0 or 1, got {value!r}"
-                    )
+                self._validate_scalar(name, value)
                 self.values[name] = int(value)
             else:
                 # Bus assignment: stem + bit index.
@@ -90,11 +107,7 @@ class GateLevelSimulator:
                     width += 1
                 if width == 0:
                     raise KeyError(f"no such input '{name}'")
-                if not 0 <= value < (1 << width):
-                    raise ValueError(
-                        f"value {value!r} out of range for {width}-bit "
-                        f"bus '{name}'"
-                    )
+                self._validate_bus(name, width, value)
                 for bit in range(width):
                     self.values[f"{name}{bit}"] = (value >> bit) & 1
 
@@ -105,6 +118,18 @@ class GateLevelSimulator:
             raise KeyError(f"no gate named '{gate_name}'")
         self.faults[gate_name] = stuck_value & 1
         self._settle(count_toggles=False)
+
+    def set_fault_lanes(self, faults):
+        faults = list(faults)
+        if len(faults) > 1:
+            raise ValueError(
+                f"the interpreted backend holds one fault lane, "
+                f"got {len(faults)}"
+            )
+        self.faults.clear()
+        for entry in faults:
+            for gate_name, stuck in lane_fault_list(entry):
+                self.inject_fault(gate_name, stuck)
 
     def clear_faults(self):
         self.faults.clear()
@@ -120,7 +145,7 @@ class GateLevelSimulator:
             if faults and gate.name in faults:
                 new = faults[gate.name]
             if count_toggles and self.values.get(gate.output) != new:
-                self.toggles[gate.name] += 1
+                self._toggles[gate.name] += 1
             self.values[gate.output] = new
 
     def step(self):
@@ -132,18 +157,19 @@ class GateLevelSimulator:
             if self.faults and flop.name in self.faults:
                 new = self.faults[flop.name]
             if new != self.values[flop.output]:
-                self.toggles[flop.name] += 1
+                self._toggles[flop.name] += 1
             updates.append((flop.output, new))
         for net, value in updates:
             self.values[net] = value
-        self.cycles += 1
+        self._cycles += 1
         # Propagate the new state so outputs are coherent after the edge;
         # state-driven transitions count toward toggle coverage too.
         self._settle(count_toggles=True)
 
     # ------------------------------------------------------------------
 
-    def read_bus(self, stem, width=None):
+    def read_bus(self, stem, width=None, lane=0):
+        self._check_lane(lane)
         value, bit = 0, 0
         while True:
             net = f"{stem}{bit}"
@@ -162,15 +188,13 @@ class GateLevelSimulator:
             bit += 1
         return value
 
-    def read_net(self, net):
+    def read_net(self, net, lane=0):
+        self._check_lane(lane)
         return self.values[net]
 
-    def toggle_coverage(self):
-        """(fraction of gates that toggled, mean toggles per gate)."""
-        total = len(self.toggles) or 1
-        toggled = sum(1 for count in self.toggles.values() if count)
-        mean = sum(self.toggles.values()) / total
-        return toggled / total, mean
+    def toggles(self, lane=0):
+        self._check_lane(lane)
+        return dict(self._toggles)
 
     def flush_obs(self):
         """Fold (and reset) the local tallies into the metrics registry.
@@ -191,6 +215,6 @@ class GateLevelSimulator:
         ).inc(self.settle_passes)
         registry.counter(
             "gate_sim_cycles_total", "Gate-level clock cycles",
-        ).inc(self.cycles)
+        ).inc(self._cycles)
         self.gate_evaluations = 0
         self.settle_passes = 0

@@ -46,10 +46,10 @@ def run_cross_check(netlist, isa, program, inputs=None, max_instructions=500,
     fault: a ``(gate_name, value)`` pair forcing that gate's output --
     used by the yield model's fault-detection tests.  ``backend`` names
     the gate-level simulation backend (``"interpreted"`` /
-    ``"compiled"`` / ``"vector"``; ``None`` uses the process default).
-    ``fastpath``
-    replays the ISA side through the predecoded page table (decode once
-    per program instead of once per instruction); ``False`` keeps the
+    ``"compiled"`` / ``"vector"``; ``None`` picks ``compiled``, the
+    lane-count rule's choice for one lane).  ``fastpath`` replays the
+    ISA side through the predecoded page table (decode once per
+    program instead of once per instruction); ``False`` keeps the
     per-instruction ``isa.decode`` reference replay.
 
     Only single-page programs can be cross-checked (the gate-level core
@@ -70,10 +70,12 @@ def run_cross_check_batch(netlist, isa, program, inputs=None,
     ``faults`` is a sequence whose entries are ``None`` (healthy lane),
     ``(gate_name, stuck_value)`` pairs, or lists of such pairs (one
     multi-defect die per lane); the result list lines up with it.
-    Fault lists longer than the backend's lane capacity are chunked
-    (the interpreted reference is single-lane, so it degrades to the
-    per-fault loop; the compiled backend takes 64 per run; the vector
-    backend takes a whole wafer-scale campaign in one run).  Each
+    ``backend=None`` picks the backend from ``len(faults)``: compiled
+    up to 64 lanes, vector above.  Fault lists longer than the
+    backend's lane capacity are chunked (the interpreted reference is
+    single-lane, so it degrades to the per-fault loop; the compiled
+    backend takes 64 per run; the vector backend takes a whole
+    wafer-scale campaign in one run).  Each
     lane's result -- mismatch count, first-mismatch message, and
     toggle statistics -- is bit-identical to a dedicated serial run,
     because every lane sees exactly the same ISA-derived stimulus.
@@ -83,7 +85,7 @@ def run_cross_check_batch(netlist, isa, program, inputs=None,
         raise ValueError("cross-check supports single-page programs only")
 
     fault_list = list(faults) if faults is not None else [None]
-    backend_cls = resolve_backend(backend)
+    backend_cls = resolve_backend(backend, len(fault_list))
     chunk = max(1, backend_cls.max_lanes)
     input_values = list(inputs or [])
     results = []

@@ -238,12 +238,6 @@ def _design_names():
     return tuple(d.name for d in ALL_DESIGNS)
 
 
-def _backend_names():
-    from repro.netlist.backend import BACKENDS
-
-    return tuple(sorted(BACKENDS))
-
-
 def _oracle_names():
     from repro.conformance.oracles import ORACLES
 
@@ -275,7 +269,7 @@ def _run_yield_study(params, ctx):
         None, process_for(core), wafers=params["wafers"],
         voltages=tuple(params["voltages"]),
         seed=params["seed"], core=core, engine=ctx.engine(),
-        fault_check=params["fault_check"], backend=params["backend"],
+        fault_check=params["fault_check"],
     )
     result = {
         "core": core,
@@ -579,8 +573,6 @@ register_job_type(
                           doc="probe voltages"),
         "fault_check": Field(int, default=0, minimum=0, maximum=256,
                              doc="stuck-at faults to inject (0 = off)"),
-        "backend": Field(str, default="compiled",
-                         choices=_backend_names),
     },
     _run_yield_study,
 )

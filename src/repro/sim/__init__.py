@@ -1,11 +1,6 @@
 """Functional simulation: cores, program memory, MMU, peripherals, timing."""
 
-from repro.sim.dispatch import (
-    DISPATCHES,
-    configure as configure_dispatch,
-    default_dispatch,
-    resolve_dispatch,
-)
+from repro.sim.dispatch import DISPATCHES, resolve_dispatch
 from repro.sim.memory import ProgramMemory
 from repro.sim.predecode import (
     PredecodedProgram,
@@ -60,9 +55,7 @@ __all__ = [
     "TraceEntry",
     "Tracer",
     "clear_predecode_cache",
-    "configure_dispatch",
     "cycle_count",
-    "default_dispatch",
     "predecode_image",
     "resolve_dispatch",
     "trace_program",

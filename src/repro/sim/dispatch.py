@@ -14,19 +14,14 @@ registered:
   :class:`~repro.sim.simulator.ExecStats` at run end.
 
 Consumers select a dispatch by name (or with the ``fastpath=`` sugar on
-:meth:`Simulator.run` and friends); ``None`` resolves to the process
-default, which the ``REPRO_SIM_DISPATCH`` environment variable or
-:func:`configure` can override.
+:meth:`Simulator.run` and friends); ``None`` is ``"predecode"``.  The
+reference is chosen per call, by the tests and conformance oracles
+that compare the two.
 """
-
-import os
 
 from repro.sim.memory import PAGE_SIZE
 from repro.sim.peripherals import InputExhausted
 from repro.sim.predecode import _DecodeFault, predecode_image
-
-_DEFAULT_DISPATCH = "predecode"
-_default_name = None  # None -> environment / library default
 
 #: name -> runner(simulator, max_cycles) -> completion reason.
 DISPATCHES = {}
@@ -40,31 +35,9 @@ def register_dispatch(name):
     return decorate
 
 
-def configure(default=None):
-    """Install the process-wide default dispatch name.
-
-    Returns the active default; ``configure()`` with no argument resets
-    to the environment/library default.
-    """
-    global _default_name
-    if default is not None and default not in DISPATCHES:
-        raise ValueError(
-            f"unknown dispatch {default!r}; choose from {sorted(DISPATCHES)}"
-        )
-    _default_name = default
-    return default_dispatch()
-
-
-def default_dispatch():
-    """Name of the process-wide default dispatch."""
-    if _default_name is not None:
-        return _default_name
-    return os.environ.get("REPRO_SIM_DISPATCH", _DEFAULT_DISPATCH)
-
-
 def resolve_dispatch(name):
-    """Map a dispatch spec (name or None) to its registered runner."""
-    name = name or default_dispatch()
+    """Map a dispatch spec (name, or None for predecode) to its runner."""
+    name = name or "predecode"
     try:
         return DISPATCHES[name]
     except KeyError:

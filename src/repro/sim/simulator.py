@@ -175,8 +175,8 @@ class Simulator:
         budget is exhausted.
 
         ``dispatch`` selects the execution strategy by name
-        (``"predecode"`` / ``"reference"``; ``None`` uses the process
-        default).  ``fastpath`` is boolean sugar: ``False`` forces the
+        (``"predecode"`` / ``"reference"``; ``None`` is
+        ``"predecode"``).  ``fastpath`` is boolean sugar: ``False`` forces the
         reference step loop, ``True`` the predecoded fast path.
         """
         if dispatch is None and fastpath is not None:

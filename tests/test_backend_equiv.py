@@ -22,15 +22,13 @@ from repro.netlist.backend import (
     VECTOR_MAX_LANES,
     WORD_LANES,
     CompiledBackend,
-    InterpretedBackend,
     VectorBackend,
-    configure,
-    default_backend,
     make_backend,
     resolve_backend,
 )
 from repro.netlist.cores import build_core
 from repro.netlist.dse_cores import build_extended_core, build_loadstore_core
+from repro.netlist.sim import GateLevelSimulator
 from repro.netlist.verify import run_cross_check, run_cross_check_batch
 
 FAB_CORES = ("flexicore4", "flexicore8")
@@ -122,7 +120,7 @@ class TestLaneSemantics:
         packed.set_fault_lanes(faults)
         serial = []
         for fault in faults:
-            sim = InterpretedBackend(netlist)
+            sim = GateLevelSimulator(netlist)
             sim.set_fault_lanes([fault])
             serial.append(sim)
 
@@ -156,7 +154,16 @@ class TestLaneSemantics:
         with pytest.raises(ValueError):
             CompiledBackend(netlist, lanes=0)
         with pytest.raises(ValueError):
-            InterpretedBackend(netlist, lanes=2)
+            GateLevelSimulator(netlist, lanes=2)
+        reference = GateLevelSimulator(netlist)
+        with pytest.raises(IndexError):
+            reference.read_bus("pc", lane=1)
+        with pytest.raises(IndexError):
+            reference.read_net("pc0", lane=1)
+        with pytest.raises(IndexError):
+            reference.toggles(1)
+        with pytest.raises(ValueError):
+            reference.set_fault_lanes([None, None])
         sim = CompiledBackend(netlist, lanes=2)
         with pytest.raises(IndexError):
             sim.read_bus("pc", lane=2)
@@ -204,7 +211,7 @@ class TestVectorLaneSemantics:
         packed.set_fault_lanes(faults)
         serial = []
         for entry in faults:
-            sim = InterpretedBackend(netlist)
+            sim = GateLevelSimulator(netlist)
             sim.set_fault_lanes([entry])
             serial.append(sim)
 
@@ -236,7 +243,7 @@ class TestVectorLaneSemantics:
         rng = np.random.default_rng(3)
         iports = rng.integers(0, 16, size=lanes)
         check = [0, 1, 63, 64, 69]  # both sides of the word boundary
-        serial = {lane: InterpretedBackend(netlist) for lane in check}
+        serial = {lane: GateLevelSimulator(netlist) for lane in check}
         for _ in range(16):
             instr = int(rng.integers(0, 256))
             packed.set_inputs({"instr": instr})
@@ -436,7 +443,8 @@ class TestRegistry:
     def test_known_backends(self):
         assert set(BACKENDS) == {"interpreted", "compiled", "vector"}
         assert resolve_backend("compiled") is CompiledBackend
-        assert resolve_backend("interpreted") is InterpretedBackend
+        assert resolve_backend("interpreted") is GateLevelSimulator
+        assert BACKENDS["interpreted"] is GateLevelSimulator
         assert resolve_backend("vector") is VectorBackend
         assert VectorBackend.max_lanes == VECTOR_MAX_LANES
         assert VectorBackend.max_lanes > CompiledBackend.max_lanes
@@ -444,17 +452,14 @@ class TestRegistry:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("verilated")
-        with pytest.raises(ValueError, match="unknown backend"):
-            configure("verilated")
 
-    def test_configure_default(self, cores):
-        assert default_backend() == "compiled"
-        try:
-            configure("interpreted")
-            assert default_backend() == "interpreted"
-            assert resolve_backend(None) is InterpretedBackend
-            sim = make_backend(None, cores["flexicore4"])
-            assert isinstance(sim, InterpretedBackend)
-        finally:
-            configure()
-        assert default_backend() == "compiled"
+    def test_unnamed_backend_follows_lane_count(self, cores):
+        # One machine word of lanes runs compiled, anything wider vector.
+        assert resolve_backend(None) is CompiledBackend
+        assert resolve_backend(None, 64) is CompiledBackend
+        assert resolve_backend(None, 65) is VectorBackend
+        sim = make_backend(None, cores["flexicore4"], lanes=124)
+        assert isinstance(sim, VectorBackend)
+        assert sim.lanes == 124
+        # A named backend wins over the rule.
+        assert resolve_backend("compiled", 124) is CompiledBackend

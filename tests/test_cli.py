@@ -137,20 +137,32 @@ class TestErrorPaths:
         assert main(["run", "/nonexistent/prog.asm"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_bad_backend_flag_exits_2(self, capsys):
-        # Every --backend path rejects an unknown name the same way:
-        # one `error:` line on stderr, exit 2 -- no argparse usage
-        # dump, no traceback.
-        for argv in (
-            ["yield", "--backend", "quantum"],
-            ["dse", "--backend", "quantum"],
-            ["pareto", "--backend", "quantum"],
-            ["conform", "run", "--backend", "quantum"],
-        ):
-            assert main(argv) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error: unknown backend")
-            assert "vector" in err  # the suggestion lists all three
+    @pytest.mark.parametrize("command", [
+        ["yield"], ["dse"], ["dse", "search"], ["pareto"],
+        ["conform", "run"],
+    ], ids="-".join)
+    def test_backend_flag_is_gone(self, capsys, command):
+        # The lane count picks the gate-level simulator; no command
+        # takes a flag for it.
+        with pytest.raises(SystemExit) as info:
+            main(command + ["--backend=vector"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --backend=vector" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--wafers", "0"], "--wafers: must be a positive integer"),
+        (["--wafers", "-1"], "--wafers: must be a positive integer"),
+        (["--fault-check", "-5"],
+         "--fault-check: must be a non-negative integer"),
+    ], ids=["wafers=0", "wafers=-1", "fault-check=-5"])
+    def test_yield_rejects_nonsense_counts(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(["yield", "--no-cache"] + argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
     def test_closed_stdout_pipe_is_not_an_error(self):
         # `repro isa flexicore4 | head -1`: head closing the pipe

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.fab.testing import (
     directed_program,
-    fault_chunk_size,
     fault_injection_study,
     random_program,
     toggle_coverage_study,
@@ -79,19 +79,31 @@ class TestFaultDetection:
         )
         assert study.coverage == 0.0
 
-    def test_chunks_sized_from_backend_capacity(self):
-        # Campaigns chunk by the *selected* backend's lane capacity,
-        # not a hardcoded word width: a 1000-fault campaign is 16
-        # compiled chunks but a single vector run.
-        from repro.netlist.backend import (
-            VECTOR_MAX_LANES,
-            WORD_LANES,
-        )
+    @pytest.mark.parametrize("faults, expected, other", [
+        (20, "compiled", "vector"),   # fits one 64-lane machine word
+        (80, "vector", "compiled"),   # does not
+    ])
+    def test_unnamed_backend_follows_fault_count(self, fc4, tmp_path,
+                                                 monkeypatch, faults,
+                                                 expected, other):
+        def study(backend=None):
+            return fault_injection_study(
+                fc4, get_isa("flexicore4"), np.random.default_rng(5),
+                faults=faults, max_instructions=80, backend=backend,
+            )
 
-        assert fault_chunk_size("compiled") == WORD_LANES
-        assert fault_chunk_size("interpreted") == 1
-        assert fault_chunk_size("vector") == VECTOR_MAX_LANES
-        assert fault_chunk_size(None) == fault_chunk_size("compiled")
+        monkeypatch.setenv("REPRO_STATE_DIR", str(tmp_path / "state"))
+        obs.reset()
+        obs.configure(metrics=True, trace=True)
+        try:
+            chosen = study()
+            spans = [record for record in obs.collected_spans()
+                     if record["name"] == "fab.fault_injection"]
+        finally:
+            obs.reset()
+        assert [span["attrs"]["backend"] for span in spans] == [expected]
+        assert chosen.injected == faults
+        assert chosen.details == study(other).details
 
     def test_same_verdicts_on_every_backend(self, fc4):
         verdicts = {}

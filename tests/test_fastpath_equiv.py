@@ -7,8 +7,6 @@ architectural state, even decode-fault messages -- must match between
 :meth:`Simulator.step` reference) on every ISA.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -18,11 +16,10 @@ from repro.isa import get_isa
 from repro.kernels.kernel import Target
 from repro.kernels.suite import SUITE
 from repro.sim import (
+    DISPATCHES,
     SimulationError,
     Simulator,
     clear_predecode_cache,
-    configure_dispatch,
-    default_dispatch,
     predecode_image,
     resolve_dispatch,
     run_program,
@@ -245,26 +242,9 @@ class TestDispatchRegistry:
     def test_unknown_dispatch_rejected(self):
         with pytest.raises(ValueError, match="unknown dispatch"):
             resolve_dispatch("turbo")
-        with pytest.raises(ValueError, match="unknown dispatch"):
-            configure_dispatch("turbo")
 
     def test_default_is_predecode(self):
-        assert default_dispatch() == "predecode"
-
-    def test_configure_overrides_default(self):
-        try:
-            assert configure_dispatch("reference") == "reference"
-            assert default_dispatch() == "reference"
-        finally:
-            configure_dispatch(None)
-        assert default_dispatch() == "predecode"
-
-    def test_environment_overrides_default(self):
-        os.environ["REPRO_SIM_DISPATCH"] = "reference"
-        try:
-            assert default_dispatch() == "reference"
-        finally:
-            del os.environ["REPRO_SIM_DISPATCH"]
+        assert resolve_dispatch(None) is DISPATCHES["predecode"]
 
     def test_run_rejects_unknown_dispatch(self):
         program = assemble("nandi 0\nstop: brn stop\n",

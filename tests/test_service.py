@@ -211,6 +211,15 @@ class TestAdmission:
                 alice.submit("yield_study", params)
             assert info.value.status == 400
 
+    def test_yield_study_takes_no_backend(self, alice):
+        # The lane count picks the gate-level simulator; a client that
+        # still names one is refused like any unknown parameter.
+        with pytest.raises(ServiceApiError) as info:
+            alice.submit("yield_study",
+                         {"core": "flexicore4", "backend": "compiled"})
+        assert info.value.status == 400
+        assert "unknown parameter(s) ['backend']" in info.value.message
+
     def test_quota_is_403_and_isolated(self, alice, bob):
         """Bob (max_active=2) hitting his quota must not disturb
         Alice's in-flight jobs."""
