@@ -500,14 +500,20 @@ class Engine:
             if self.timeout:
                 deadlines[task_id] = time.monotonic() + self.timeout
 
+        # A node queued when its dependency hit the cache may have hit
+        # the cache itself since: only PENDING nodes still need work.
         while ready or outstanding:
             self._check_cancelled()
             if not use_parallel:
-                run_serial_node(ready.popleft())
+                node = ready.popleft()
+                if node.status == PENDING:
+                    run_serial_node(node)
                 continue
             broken = None
             while ready and broken is None:
                 node = ready.popleft()
+                if node.status != PENDING:
+                    continue
                 try:
                     dispatch(node)
                 except ExecutorBroken as exc:

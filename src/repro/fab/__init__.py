@@ -26,7 +26,7 @@ from repro.fab.yield_model import (
     WaferProbeResult,
     fabricate_wafer,
     gate_probe_wafer,
-    gate_wafer_yield_job,
+    gate_yield_campaign_job,
     probed_wafer_job,
     run_fault_coverage,
     run_gate_yield_study,
@@ -40,7 +40,7 @@ __all__ = [
     "FaultStudyResult", "ProbeRecord", "TEST_CYCLES", "WAFER_DIAMETER_MM",
     "Wafer", "WaferProbeResult", "WaferProcess", "directed_program",
     "fabricate_wafer", "fault_injection_study",
-    "fault_study_job", "gate_probe_wafer", "gate_wafer_yield_job",
+    "fault_study_job", "gate_probe_wafer", "gate_yield_campaign_job",
     "probed_wafer_job", "process_for", "random_program",
     "run_fault_coverage", "run_gate_yield_study", "run_yield_study",
     "sample_fault_sites", "toggle_coverage_study", "wafer_yield_job",

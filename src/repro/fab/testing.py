@@ -115,13 +115,14 @@ def sample_fault_sites(netlist, rng, count):
     keeps duplicate sites from inflating apparent coverage; the draw is
     clamped to the number of available sites.
     """
-    sites = [(gate.name, stuck)
-             for gate in netlist.gates for stuck in (0, 1)]
-    count = min(count, len(sites))
+    gates = netlist.gates
+    # Site 2*g + s is gate g stuck at s: draw indices, build only the
+    # chosen pairs.
+    count = min(count, 2 * len(gates))
     if count == 0:
         return []
-    chosen = rng.choice(len(sites), size=count, replace=False)
-    return [sites[int(index)] for index in chosen]
+    chosen = rng.choice(2 * len(gates), size=count, replace=False)
+    return [(gates[index // 2].name, index % 2) for index in chosen.tolist()]
 
 
 def fault_injection_study(netlist, isa, rng, faults=20,

@@ -14,10 +14,11 @@ suite (Figure 6's wafer maps); every probed die reports a current draw
 
 :func:`gate_probe_wafer` replaces the analytic pass/fail model with an
 actual gate-level campaign: each die's defect draw becomes stuck-at
-faults in one simulation lane of a wafer-scale vector backend, so a
-full Table 5 yield study (:func:`run_gate_yield_study`) is *simulated*
-die by die in a handful of engine jobs, with every die replayable
-bit-for-bit against the interpreted reference.
+faults in one simulation lane of a vector backend, and the dies of
+several wafers share one campaign, each lane fed its own wafer's IPORT
+samples.  A full Table 5 yield study (:func:`run_gate_yield_study`) is
+thus *simulated* die by die in one campaign per engine worker, with
+every die replayable bit-for-bit against the interpreted reference.
 """
 
 import math
@@ -384,57 +385,89 @@ def probed_wafer_job(params, seed):
         return {"fabricated": fabricated, "probes": probes}
 
 
-def gate_probe_wafer(netlist, isa, fabricated, rng, voltages=(3.0, 4.5),
-                     *, backend=None, max_instructions=120,
+def gate_probe_wafer(netlist, isa, wafers, voltages=(3.0, 4.5), *,
+                     backend=None, max_instructions=120,
                      frequency_hz=FMAX_HZ):
-    """Probe every die on a wafer *gate-level*: one simulation lane per die.
+    """Probe every die of several wafers *gate-level*: one lane per die.
 
-    Each die's latent Poisson defect count is materialized as that many
-    distinct stuck-at sites (its whole multi-defect draw occupying one
-    lane), and the entire wafer runs as a single
-    :func:`~repro.netlist.verify.run_cross_check_batch` campaign --
-    under the vector backend (``backend=None`` picks it for any wafer
-    of more than 64 dies), one settle pass advances all 124 dies at
-    once.  Mismatch counts are voltage-independent (a stuck gate fails
-    the vectors at any supply), so one gate campaign serves every
-    probe voltage; timing is classified analytically per voltage from
-    the die's speed factor, exactly as :meth:`FabricatedWafer.probe`
-    does.
+    ``wafers`` is a sequence of ``(FabricatedWafer, rng)`` pairs.  Each
+    wafer draws from its own generator, in this order: every die's
+    latent Poisson defect count materialized as that many distinct
+    stuck-at sites (its whole multi-defect draw occupying one lane),
+    the wafer's 64 IPORT samples, then the defect current noise.  All
+    dies of all wafers then run as a single
+    :func:`~repro.netlist.verify.run_cross_check_batch` campaign, each
+    lane fed its own wafer's IPORT stream -- under the vector backend
+    (``backend=None`` picks it for more than 64 dies), one settle pass
+    advances every die at once.  The campaign draws no randomness, so
+    a wafer's draws and results do not depend on which wafers share
+    its campaign.  Mismatch counts are voltage-independent (a stuck
+    gate fails the vectors at any supply), so one gate campaign serves
+    every probe voltage; timing is classified analytically per voltage
+    from the die's speed factor, exactly as
+    :meth:`FabricatedWafer.probe` does.
 
-    Returns ``(probes, campaign)``: ``probes`` maps voltage to a
-    :class:`WaferProbeResult` whose error counts are the *gate-level*
-    mismatch tallies (the Figure 6 maps, simulated rather than drawn
-    from the error-noise model), and ``campaign`` records the stimulus
-    (IPORT samples, instruction budget) plus per-die fault sites and
-    mismatch counts -- everything needed to replay any die against the
-    interpreted reference bit for bit.
+    Returns one ``(probes, campaign)`` pair per wafer: ``probes`` maps
+    voltage to a :class:`WaferProbeResult` whose error counts are the
+    *gate-level* mismatch tallies (the Figure 6 maps, simulated rather
+    than drawn from the error-noise model), and ``campaign`` records
+    the wafer's stimulus (IPORT samples, instruction budget) plus
+    per-die fault sites and mismatch counts -- everything needed to
+    replay any die against the interpreted reference bit for bit.
     Note a defective die whose faults the vectors never observe counts
     *functional* here (a test escape); the analytic model's yield is a
     lower bound on this one.
     """
     from repro.fab.testing import directed_program, sample_fault_sites
 
-    dies = fabricated.dies
-    faults = [
-        sample_fault_sites(netlist, rng, die.defects) if die.defects
-        else None
-        for die in dies
-    ]
-    program = directed_program(isa)
-    inputs = [int(value) for value in rng.integers(0, 16, size=64)]
-    with obs.span("fab.gate_probe", dies=len(dies),
-                  backend=resolve_backend(backend, len(dies)).name):
-        outcomes = run_cross_check_batch(
-            netlist, isa, program, inputs=inputs,
-            max_instructions=max_instructions, faults=faults,
-            backend=backend,
+    draws = []
+    for fabricated, rng in wafers:
+        faults = [
+            sample_fault_sites(netlist, rng, die.defects) if die.defects
+            else None
+            for die in fabricated.dies
+        ]
+        inputs = [int(value) for value in rng.integers(0, 16, size=64)]
+        current_noise = np.exp(
+            rng.normal(0.0, 0.35, size=len(fabricated.dies))
         )
-    mismatches = np.array([outcome.mismatches for outcome in outcomes])
+        draws.append((fabricated, faults, inputs, current_noise))
 
+    lane_faults = [fault for _, faults, _, _ in draws for fault in faults]
+    lane_inputs = [inputs for _, faults, inputs, _ in draws
+                   for _ in faults]
+    with obs.span("fab.gate_probe", dies=len(lane_faults),
+                  backend=resolve_backend(backend, len(lane_faults)).name):
+        outcomes = run_cross_check_batch(
+            netlist, isa, directed_program(isa),
+            max_instructions=max_instructions, faults=lane_faults,
+            backend=backend, lane_inputs=lane_inputs,
+        )
+    mismatches = np.array(
+        [outcome.mismatches for outcome in outcomes], dtype=np.int64
+    )
+    results = []
+    start = 0
+    for fabricated, faults, inputs, current_noise in draws:
+        stop = start + len(faults)
+        results.append(_classify_gate_wafer(
+            fabricated, faults, inputs, current_noise,
+            mismatches[start:stop], voltages, max_instructions,
+            frequency_hz,
+        ))
+        start = stop
+    return results
+
+
+def _classify_gate_wafer(fabricated, faults, inputs, current_noise,
+                         mismatches, voltages, max_instructions,
+                         frequency_hz):
+    """One wafer's ``(probes, campaign)`` from its gate-level mismatch
+    counts (see :func:`gate_probe_wafer`)."""
+    dies = fabricated.dies
     speed = np.array([die.speed_factor for die in dies])
     factors = np.array([die.current_factor for die in dies])
     has_defect = np.array([die.has_defect for die in dies])
-    current_noise = np.exp(rng.normal(0.0, 0.35, size=len(dies)))
     probes = {}
     for voltage in voltages:
         point = OperatingPoint(
@@ -495,48 +528,61 @@ def gate_probe_wafer(netlist, isa, fabricated, rng, voltages=(3.0, 4.5),
     return probes, campaign
 
 
-@job_function("fab.gate_wafer_yield", version="1")
-def gate_wafer_yield_job(params, seed):
-    """Engine job: fabricate one wafer and probe every die gate-level.
+@job_function("fab.gate_yield_campaign", version="1")
+def gate_yield_campaign_job(params, seed):
+    """Engine job: fabricate a range of a study's wafers and probe all
+    their dies gate-level as one campaign.
 
-    The whole wafer is one simulation campaign (one lane per die, see
-    :func:`gate_probe_wafer`), so a full Table 5 study is ``wafers``
-    engine jobs rather than thousands of per-die runs.  Returns the
-    per-voltage Table 5 buckets, the gate-level Figure 6 error maps,
-    and per-die records (fault sites, mismatch counts) sufficient to
-    replay any die against the interpreted reference.
+    ``seed`` is the study seed and ``params["wafers"]`` the
+    ``(first, stop)`` wafer range: wafer ``i`` draws from the study
+    seed's ``i``-th spawn child, so a wafer's results do not depend on
+    how the study was split.  The whole range is one simulation
+    campaign (one lane per die, see :func:`gate_probe_wafer`).  Returns
+    one entry per wafer, in order: the per-voltage Table 5 buckets, the
+    gate-level Figure 6 error maps, and per-die records (fault sites,
+    mismatch counts) sufficient to replay any die against the
+    interpreted reference.
     """
     from repro.isa import get_isa
 
-    with obs.span("fab.gate_wafer_yield", core=params["core"]):
+    first, stop = params["wafers"]
+    with obs.span("fab.gate_yield_campaign", core=params["core"],
+                  wafers=stop - first):
         netlist, report = _core_static(params["core"])
-        rng = seed.rng()
-        with obs.span("fab.fabricate", core=params["core"]):
-            fabricated = fabricate_wafer(
-                netlist, params["process"], rng, timing_report=report
-            )
-        probes, campaign = gate_probe_wafer(
-            netlist, get_isa(params["isa"]), fabricated, rng,
+        wafers = []
+        for child in seed.spawn(stop)[first:]:
+            rng = child.rng()
+            with obs.span("fab.fabricate", core=params["core"]):
+                fabricated = fabricate_wafer(
+                    netlist, params["process"], rng, timing_report=report
+                )
+            wafers.append((fabricated, rng))
+        probed = gate_probe_wafer(
+            netlist, get_isa(params["isa"]), wafers,
             voltages=params["voltages"],
             backend=params["backend"],
             max_instructions=params.get("max_instructions", 120),
         )
-        return {
-            "buckets": {
-                voltage: _probe_bucket(probe)
-                for voltage, probe in probes.items()
-            },
-            "error_maps": {
-                voltage: {
-                    f"{row},{col}": errors
-                    for (row, col), errors in probe.error_map().items()
-                }
-                for voltage, probe in probes.items()
-            },
-            "inputs": campaign["inputs"],
-            "max_instructions": campaign["max_instructions"],
-            "dies": campaign["dies"],
-        }
+        return [
+            {
+                "buckets": {
+                    voltage: _probe_bucket(probe)
+                    for voltage, probe in probes.items()
+                },
+                "error_maps": {
+                    voltage: {
+                        f"{row},{col}": errors
+                        for (row, col), errors
+                        in probe.error_map().items()
+                    }
+                    for voltage, probe in probes.items()
+                },
+                "inputs": campaign["inputs"],
+                "max_instructions": campaign["max_instructions"],
+                "dies": campaign["dies"],
+            }
+            for probes, campaign in probed
+        ]
 
 
 def run_gate_yield_study(process, *, seed, core="flexicore4", wafers=5,
@@ -544,30 +590,34 @@ def run_gate_yield_study(process, *, seed, core="flexicore4", wafers=5,
                          max_instructions=120, engine=None):
     """The Table 5 study with every die *simulated*, not modelled.
 
-    One engine job per wafer (see :func:`gate_wafer_yield_job`); each
-    job runs its whole wafer as a single gate-level campaign through
-    ``backend`` (``None`` picks it from the die count: ``"vector"``
-    for a full 124-die wafer).  Returns ``{"summary": {voltage:
-    table5_row}, "wafers": [per-wafer job results]}`` -- the summary
-    matches :func:`run_yield_study`'s shape, the wafer entries carry
-    the gate-level Figure 6 error maps and the per-die fault sites
-    needed to cross-check sampled dies against the interpreted
-    reference.
+    The wafers split into ``min(engine.jobs, wafers)`` contiguous
+    ranges, one :func:`gate_yield_campaign_job` each, so every worker
+    runs its share as a single gate-level campaign through ``backend``
+    (``None`` picks it from the die count: ``"vector"`` for full
+    124-die wafers).  Wafer ``i`` always draws from the seed's ``i``-th
+    spawn child, so the result is the same for every worker count.
+    Returns ``{"summary": {voltage: table5_row}, "wafers": [per-wafer
+    results]}`` -- the summary matches :func:`run_yield_study`'s shape,
+    the wafer entries carry the gate-level Figure 6 error maps and the
+    per-die fault sites needed to cross-check sampled dies against the
+    interpreted reference.
     """
     eng = engine_or_default(engine)
-    nodes = [
-        eng.submit(Job(
-            gate_wafer_yield_job,
+    shards = min(eng.jobs, wafers)
+    nodes = []
+    for index in range(shards):
+        first, stop = wafers * index // shards, wafers * (index + 1) // shards
+        nodes.append(eng.submit(Job(
+            gate_yield_campaign_job,
             {"core": core, "isa": core, "process": process,
              "voltages": tuple(voltages), "backend": backend,
-             "max_instructions": max_instructions},
-            seed=child,
-            label=f"{core}:gate-wafer{index}",
-        ))
-        for index, child in enumerate(spawn_seeds(seed, wafers))
-    ]
+             "max_instructions": max_instructions,
+             "wafers": (first, stop)},
+            seed=seed,
+            label=f"{core}:gate-wafers{first}-{stop - 1}",
+        )))
     eng.run_graph(stage=f"gate-yield:{core}")
-    results = [node.result for node in nodes]
+    results = [wafer for node in nodes for wafer in node.result]
     summary = _merge_buckets(
         [result["buckets"] for result in results], tuple(voltages)
     )

@@ -71,10 +71,12 @@ def lane_fault_list(entry):
 class SimBackend(ABC):
     """Multi-lane gate-level evaluation of one netlist.
 
-    Lane semantics: inputs and clock edges are shared by every lane;
-    faults and observed state (net values, toggle counts, mismatches)
-    are per-lane.  ``lanes`` is fixed at construction and bounded by
-    ``max_lanes``; campaign drivers chunk their fault lists accordingly.
+    Lane semantics: clock edges are shared by every lane, and so are
+    inputs set with :meth:`set_inputs` (packed backends also take
+    per-lane inputs, :meth:`set_input_lanes`); faults and observed
+    state (net values, toggle counts, mismatches) are per-lane.
+    ``lanes`` is fixed at construction and bounded by ``max_lanes``;
+    campaign drivers chunk their fault lists accordingly.
     """
 
     #: Registry name; subclasses override.
@@ -98,6 +100,18 @@ class SimBackend(ABC):
     def set_inputs(self, assignments):
         """Assign primary inputs ({net: 0/1} or {bus_stem: int}),
         broadcast to every lane.  Rejects out-of-range values."""
+
+    def set_input_lanes(self, assignments):
+        """Assign primary inputs per lane: ``{net: [0/1 per lane]}`` or
+        ``{bus_stem: [value per lane]}``.  Rejects a sequence that is
+        not one value per lane and out-of-range values.
+
+        Packed backends implement this so one run can carry several
+        stimulus streams; the single-lane interpreter never does.
+        """
+        raise NotImplementedError(
+            f"the {self.name} backend takes broadcast inputs only"
+        )
 
     @abstractmethod
     def set_fault_lanes(self, faults):
@@ -240,3 +254,36 @@ class SimBackend(ABC):
                 f"value {value!r} out of range for {width}-bit bus "
                 f"'{stem}'"
             )
+
+    def _lane_input_bits(self, assignments):
+        """Validate :meth:`set_input_lanes` assignments, yielding
+        ``(net indices, bits)`` per input, where ``bits[b, l]`` is bit
+        ``b`` of lane ``l``'s value (packed backends only)."""
+        import numpy as np
+
+        for name, values in assignments.items():
+            values = np.asarray(values, dtype=np.int64)
+            if values.shape != (self._lanes,):
+                raise ValueError(
+                    f"input '{name}' needs one value per lane "
+                    f"({self._lanes}), got shape {values.shape}"
+                )
+            index = self._net_ids.get(name)
+            if index is not None:
+                if values.min() < 0 or values.max() > 1:
+                    raise ValueError(
+                        f"input '{name}' is a single net; values "
+                        f"must be 0 or 1"
+                    )
+                yield [index], values[None, :]
+                continue
+            nets = self._bus_nets(name)
+            if not nets:
+                raise KeyError(f"no such input '{name}'")
+            if values.min() < 0 or values.max() >= (1 << len(nets)):
+                raise ValueError(
+                    f"value out of range for {len(nets)}-bit bus "
+                    f"'{name}'"
+                )
+            shifts = np.arange(len(nets))[:, None]
+            yield nets, (values[None, :] >> shifts) & 1

@@ -187,6 +187,18 @@ class CompiledBackend(SimBackend):
                     FULL_MASK if (value >> bit) & 1 else 0
                 )
 
+    def set_input_lanes(self, assignments):
+        """Per-lane stimulus: one value per lane for each named input,
+        so one run of up to 64 lanes can carry several input streams
+        (see :meth:`SimBackend.set_input_lanes`)."""
+        shifts = self._shifts[:self._lanes]
+        for nets, bits in self._lane_input_bits(assignments):
+            words = np.bitwise_or.reduce(
+                bits.astype(np.uint64) << shifts, axis=1
+            )
+            for index, word in zip(nets, words.tolist()):
+                self._state[index] = word
+
     def set_fault_lanes(self, faults):
         faults = list(faults)
         if len(faults) > self._lanes:

@@ -416,33 +416,8 @@ class VectorBackend(SimBackend):
         maps a scalar net to a length-``lanes`` sequence of 0/1, or a
         bus stem to a length-``lanes`` sequence of bus values.
         """
-        state, ids = self._state, self._net_ids
-        for name, values in assignments.items():
-            values = np.asarray(values, dtype=np.int64)
-            if values.shape != (self._lanes,):
-                raise ValueError(
-                    f"input '{name}' needs one value per lane "
-                    f"({self._lanes}), got shape {values.shape}"
-                )
-            index = ids.get(name)
-            if index is not None:
-                if values.min() < 0 or values.max() > 1:
-                    raise ValueError(
-                        f"input '{name}' is a single net; values "
-                        f"must be 0 or 1"
-                    )
-                state[index] = self._pack_lanes(
-                    values.astype(np.uint8)[None, :]
-                )[0]
-                continue
-            rows, bits = self._input_bus(name)
-            if values.min() < 0 or values.max() >= (1 << len(rows)):
-                raise ValueError(
-                    f"value out of range for {len(rows)}-bit bus "
-                    f"'{name}'"
-                )
-            planes = ((values[None, :] >> bits[:, None]) & 1)
-            state[rows] = self._pack_lanes(planes.astype(np.uint8))
+        for nets, bits in self._lane_input_bits(assignments):
+            self._state[nets] = self._pack_lanes(bits.astype(np.uint8))
 
     def _input_bus(self, stem):
         """(net row array, bit position array) for input bus ``stem``."""

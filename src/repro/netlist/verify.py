@@ -6,16 +6,20 @@ same in software: drive the gate-level netlist and the ISA simulator
 with the same program and inputs, and compare the PC and OPORT pins at
 every instruction boundary.
 
-The gate side runs on a pluggable :mod:`repro.netlist.backend`.  Because
-the stimulus (instruction bytes and IPORT samples) is derived entirely
-from the ISA model, it is identical for every injected fault -- so
+The gate side runs on a pluggable :mod:`repro.netlist.backend`.  The
+stimulus (instruction bytes and IPORT samples) is derived entirely from
+an ISA replay of the program, never from the gate side, so
 :func:`run_cross_check_batch` packs many faults into the lanes of one
-backend instance and checks them all in a single run, the classic
-parallel fault simulation strategy.
+backend instance and checks them all in a single run -- the classic
+parallel fault simulation strategy.  Lanes may also carry their own
+IPORT streams (``lane_inputs``): the ISA is replayed once per distinct
+stream, and lanes whose replays fetch the same instructions still share
+one run, with IPORT set per lane.  This is how one campaign probes the
+dies of several wafers, each wafer with its own input samples.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -34,6 +38,21 @@ class CrossCheckResult:
     @property
     def passed(self):
         return self.mismatches == 0
+
+
+@dataclass
+class _Replay:
+    """One ISA run of the program on one IPORT stream.
+
+    Row ``i`` describes instruction boundary ``i``: the PC and OPORT the
+    gate core must show there, then the fetch ``(address, size)`` and
+    the IPORT value presented while that instruction's bytes clock in.
+    """
+
+    pc: np.ndarray
+    oport: np.ndarray
+    iport: np.ndarray
+    fetches: Tuple[Tuple[int, int], ...]
 
 
 def run_cross_check(netlist, isa, program, inputs=None, max_instructions=500,
@@ -64,48 +83,87 @@ def run_cross_check(netlist, isa, program, inputs=None, max_instructions=500,
 
 def run_cross_check_batch(netlist, isa, program, inputs=None,
                           max_instructions=500, faults=None, backend=None,
-                          fastpath=True):
+                          fastpath=True, lane_inputs=None):
     """Cross-check one die per lane, all in as few runs as possible.
 
     ``faults`` is a sequence whose entries are ``None`` (healthy lane),
     ``(gate_name, stuck_value)`` pairs, or lists of such pairs (one
     multi-defect die per lane); the result list lines up with it.
+    ``inputs`` is the IPORT stream every lane sees; ``lane_inputs``
+    instead gives one stream per lane, aligned with ``faults``.
+
     ``backend=None`` picks the backend from ``len(faults)``: compiled
-    up to 64 lanes, vector above.  Fault lists longer than the
-    backend's lane capacity are chunked (the interpreted reference is
-    single-lane, so it degrades to the per-fault loop; the compiled
-    backend takes 64 per run; the vector backend takes a whole
-    wafer-scale campaign in one run).  Each
-    lane's result -- mismatch count, first-mismatch message, and
+    up to 64 lanes, vector above.  The ISA is replayed once per
+    distinct stream, and lanes whose replays fetch the same
+    instructions run together, chunked to the backend's lane capacity
+    (the interpreted reference is single-lane, so it degrades to the
+    per-fault loop; the compiled backend takes 64 per run; the vector
+    backend takes a whole multi-wafer campaign in one run).  A chunk
+    whose lanes carry several streams sets IPORT per lane.  Lanes
+    whose streams change the control flow fetch differently and run
+    as separate groups.
+
+    Each lane's result -- mismatch count, first-mismatch message, and
     toggle statistics -- is bit-identical to a dedicated serial run,
-    because every lane sees exactly the same ISA-derived stimulus.
+    because every lane sees exactly the stimulus its own ISA replay
+    derives.
     """
     image = program.image() if hasattr(program, "image") else bytes(program)
     if len(image) > 128:
         raise ValueError("cross-check supports single-page programs only")
 
     fault_list = list(faults) if faults is not None else [None]
+    if lane_inputs is None:
+        streams = {tuple(inputs or []): 0}
+        lane_stream = [0] * len(fault_list)
+    else:
+        if inputs is not None:
+            raise ValueError("pass inputs or lane_inputs, not both")
+        lane_inputs = list(lane_inputs)
+        if len(lane_inputs) != len(fault_list):
+            raise ValueError(
+                f"lane_inputs has {len(lane_inputs)} streams for "
+                f"{len(fault_list)} lanes"
+            )
+        streams = {}
+        lane_stream = [
+            streams.setdefault(tuple(stream), len(streams))
+            for stream in lane_inputs
+        ]
+    if not fault_list:
+        return []
+    replays = [
+        _replay(isa, image, stream, max_instructions, fastpath)
+        for stream in streams
+    ]
+    groups = {}
+    for lane, stream in enumerate(lane_stream):
+        groups.setdefault(replays[stream].fetches, []).append(lane)
+
     backend_cls = resolve_backend(backend, len(fault_list))
     chunk = max(1, backend_cls.max_lanes)
-    input_values = list(inputs or [])
-    results = []
-    for start in range(0, len(fault_list), chunk):
-        results.extend(_drive_chunk(
-            backend_cls, netlist, isa, image, input_values,
-            max_instructions, fault_list[start:start + chunk],
-            fastpath,
-        ))
+    results = [None] * len(fault_list)
+    for lanes in groups.values():
+        for start in range(0, len(lanes), chunk):
+            part = lanes[start:start + chunk]
+            outcomes = _drive_chunk(
+                backend_cls, netlist, isa, image,
+                [fault_list[lane] for lane in part],
+                [replays[lane_stream[lane]] for lane in part],
+            )
+            for lane, outcome in zip(part, outcomes):
+                results[lane] = outcome
     return results
 
 
-def _drive_chunk(backend_cls, netlist, isa, image, input_values,
-                 max_instructions, faults, fastpath=True):
-    """One backend run: ``len(faults)`` lanes against one ISA replay.
+def _replay(isa, image, input_values, max_instructions, fastpath=True):
+    """Run the ISA model over ``image`` with one IPORT stream.
 
     With ``fastpath`` the replay pulls each instruction (semantics,
-    size, input-port read flag) from the page-0 predecode table, so the
-    whole fault campaign decodes the program once; the ``fastpath=False``
-    reference re-runs ``isa.decode`` every instruction.
+    size, input-port read flag) from the page-0 predecode table, so a
+    whole fault campaign decodes the program once; the
+    ``fastpath=False`` reference re-runs ``isa.decode`` every
+    instruction.
     """
     from repro.isa.state import IPORT_ADDR
 
@@ -114,11 +172,6 @@ def _drive_chunk(backend_cls, netlist, isa, image, input_values,
         from repro.sim.predecode import predecode_image
 
         table = predecode_image(isa, image).page(0)
-
-    lanes = len(faults)
-    gate_sim = backend_cls(netlist, lanes=lanes)
-    if any(fault is not None for fault in faults):
-        gate_sim.set_fault_lanes(faults)
 
     state = isa.new_state()
     cursor = {"gate": 0, "isa": 0}
@@ -131,31 +184,9 @@ def _drive_chunk(backend_cls, netlist, isa, image, input_values,
         return 0
 
     state.input_fn = isa_input
-
-    mismatches = np.zeros(lanes, dtype=np.int64)
-    firsts: List[Optional[str]] = [None] * lanes
-    # Lanes still waiting for their first-mismatch message; keeping it
-    # as a mask means a wafer of persistently-bad lanes costs one
-    # vector op per boundary, not a Python loop per instruction.
-    need_first = np.ones(lanes, dtype=bool)
-    width = isa.word_bits
-
-    for instruction_index in range(max_instructions):
-        # ---- compare architectural state at the boundary, per lane ----
-        pc_lanes = gate_sim.read_bus_lane_array("pc")
-        oport_lanes = gate_sim.read_bus_lane_array("oport", width)
-        isa_oport = state.mem[1]
-        bad = (pc_lanes != state.pc) | (oport_lanes != isa_oport)
-        if bad.any():
-            mismatches += bad
-            for lane in np.nonzero(bad & need_first)[0]:
-                firsts[lane] = (
-                    f"instruction {instruction_index}: "
-                    f"pc gate={int(pc_lanes[lane])} isa={state.pc}, "
-                    f"oport gate={int(oport_lanes[lane])} isa={isa_oport}"
-                )
-            need_first &= ~bad
-        # ---- step the ISA model ----
+    rows = []
+    for _ in range(max_instructions):
+        boundary = (state.pc, state.mem[1])
         if table is not None:
             decoded = table.decoded[state.pc]
             if decoded is None:
@@ -171,22 +202,78 @@ def _drive_chunk(backend_cls, netlist, isa, image, input_values,
                     decoded.spec.operands, decoded.operands
                 )
             )
-        # Present the IPORT value this instruction would read, if any.
+        # The IPORT value this instruction reads, if any, is what the
+        # gate core sees on its pins while the instruction clocks in.
         gate_input = 0
         if will_read_input and cursor["gate"] < len(input_values):
             gate_input = input_values[cursor["gate"]]
             cursor["gate"] += 1
         isa.execute(state, decoded)
-        # ---- step the gate-level core, one cycle per fetched byte ----
-        for byte_offset in range(decoded.size):
-            address = (decoded.address + byte_offset) % 128
-            gate_sim.set_inputs({
-                "instr": image[address] if address < len(image) else 0,
-                "iport": gate_input,
-            })
-            gate_sim.step()
+        rows.append((*boundary, decoded.address, decoded.size, gate_input))
         if state.halted:
             break
+
+    columns = np.array(rows, dtype=np.int64).reshape(-1, 5).T
+    return _Replay(
+        pc=columns[0], oport=columns[1], iport=columns[4],
+        fetches=tuple((row[2], row[3]) for row in rows),
+    )
+
+
+def _drive_chunk(backend_cls, netlist, isa, image, faults, replays):
+    """One backend run: ``len(faults)`` lanes, lane ``l`` checked
+    against ``replays[l]``.  Every replay fetches the same bytes."""
+    lanes = len(faults)
+    gate_sim = backend_cls(netlist, lanes=lanes)
+    if any(fault is not None for fault in faults):
+        gate_sim.set_fault_lanes(faults)
+
+    shared = replays[0]
+    # (boundaries, lanes) expectations: column l is lane l's replay.
+    expected_pc = np.stack([replay.pc for replay in replays], axis=1)
+    expected_oport = np.stack([replay.oport for replay in replays], axis=1)
+    lane_iports = None
+    if any(replay is not shared for replay in replays):
+        lane_iports = np.stack([replay.iport for replay in replays], axis=1)
+
+    mismatches = np.zeros(lanes, dtype=np.int64)
+    firsts: List[Optional[str]] = [None] * lanes
+    # Lanes still waiting for their first-mismatch message; keeping it
+    # as a mask means a wafer of persistently-bad lanes costs one
+    # vector op per boundary, not a Python loop per instruction.
+    need_first = np.ones(lanes, dtype=bool)
+    width = isa.word_bits
+
+    for index, (address, size) in enumerate(shared.fetches):
+        # ---- compare architectural state at the boundary, per lane ----
+        pc_lanes = gate_sim.read_bus_lane_array("pc")
+        oport_lanes = gate_sim.read_bus_lane_array("oport", width)
+        isa_pc, isa_oport = expected_pc[index], expected_oport[index]
+        bad = (pc_lanes != isa_pc) | (oport_lanes != isa_oport)
+        if bad.any():
+            mismatches += bad
+            for lane in np.nonzero(bad & need_first)[0]:
+                firsts[lane] = (
+                    f"instruction {index}: "
+                    f"pc gate={int(pc_lanes[lane])} "
+                    f"isa={int(isa_pc[lane])}, "
+                    f"oport gate={int(oport_lanes[lane])} "
+                    f"isa={int(isa_oport[lane])}"
+                )
+            need_first &= ~bad
+        # ---- step the gate-level core, one cycle per fetched byte ----
+        if lane_iports is None:
+            stimulus = {"iport": int(shared.iport[index])}
+        else:
+            gate_sim.set_input_lanes({"iport": lane_iports[index]})
+            stimulus = {}
+        for byte_offset in range(size):
+            byte_address = (address + byte_offset) % 128
+            stimulus["instr"] = (
+                image[byte_address] if byte_address < len(image) else 0
+            )
+            gate_sim.set_inputs(stimulus)
+            gate_sim.step()
 
     gate_sim.flush_obs()
     fractions, means = gate_sim.toggle_coverage_lanes()

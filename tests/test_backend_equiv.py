@@ -173,7 +173,8 @@ class TestLaneSemantics:
 
 class TestVectorLaneSemantics:
     """Vector-specific lane behavior: word-boundary crossing, zero-fault
-    lanes, multi-defect die lanes, and per-lane input variation."""
+    lanes, multi-defect die lanes, and per-lane input variation (which
+    the compiled backend shares)."""
 
     @pytest.mark.parametrize("core", FAB_CORES)
     def test_boundary_crossing_campaign_matches_compiled(self, cores,
@@ -233,16 +234,20 @@ class TestVectorLaneSemantics:
                 sim.read_bus("oport")
             assert packed.toggles(lane) == sim.toggles()
 
-    def test_per_lane_inputs_match_serial(self, cores):
+    @pytest.mark.parametrize("backend_cls, lanes, check", [
+        pytest.param(CompiledBackend, WORD_LANES, [0, 1, 31, 63],
+                     id="compiled"),
+        # Both sides of the vector backend's first word boundary.
+        pytest.param(VectorBackend, 70, [0, 1, 63, 64, 69], id="vector"),
+    ])
+    def test_per_lane_inputs_match_serial(self, cores, backend_cls, lanes,
+                                          check):
         """set_input_lanes: each lane sees its own IPORT value, as a
-        per-die variation vector, bit-exact vs per-lane references --
-        including lanes past the first uint64 word."""
+        per-die variation vector, bit-exact vs per-lane references."""
         netlist = cores["flexicore4"]
-        lanes = 70
-        packed = VectorBackend(netlist, lanes=lanes)
+        packed = backend_cls(netlist, lanes=lanes)
         rng = np.random.default_rng(3)
         iports = rng.integers(0, 16, size=lanes)
-        check = [0, 1, 63, 64, 69]  # both sides of the word boundary
         serial = {lane: GateLevelSimulator(netlist) for lane in check}
         for _ in range(16):
             instr = int(rng.integers(0, 256))
@@ -261,8 +266,10 @@ class TestVectorLaneSemantics:
                 sim.read_bus("oport")
             assert packed.toggles(lane) == sim.toggles()
 
-    def test_per_lane_input_validation(self, cores):
-        sim = VectorBackend(cores["flexicore4"], lanes=4)
+    @pytest.mark.parametrize("backend_cls", [CompiledBackend, VectorBackend],
+                             ids=["compiled", "vector"])
+    def test_per_lane_input_validation(self, cores, backend_cls):
+        sim = backend_cls(cores["flexicore4"], lanes=4)
         with pytest.raises(ValueError, match="one value per lane"):
             sim.set_input_lanes({"iport": [1, 2]})
         with pytest.raises(ValueError, match="out of range"):
@@ -271,6 +278,11 @@ class TestVectorLaneSemantics:
             sim.set_input_lanes({"iport0": [0, 1, 2, 0]})
         with pytest.raises(KeyError):
             sim.set_input_lanes({"no_such_bus": [0, 0, 0, 0]})
+
+    def test_interpreted_takes_broadcast_inputs_only(self, cores):
+        sim = GateLevelSimulator(cores["flexicore4"])
+        with pytest.raises(NotImplementedError):
+            sim.set_input_lanes({"iport": [1]})
 
     def test_lane_bounds(self, cores):
         netlist = cores["flexicore4"]
@@ -285,6 +297,108 @@ class TestVectorLaneSemantics:
             sim.set_fault_lanes([None] * 67)
         # Capacity past one word is real, not just accepted.
         assert sim.read_bus("pc", lane=65) == sim.read_bus("pc", lane=0)
+
+
+#: IPORT decides the branch: a negative sample (MSB set) goes to ``neg``.
+_IPORT_BRANCH_SOURCE = """
+top:
+    load 0
+    store 1
+    brn neg
+    addi 3
+    store 1
+    load 0
+    xori 6
+    store 1
+    brn top
+    nandi 0
+    brn top
+neg:
+    load 0
+    nandi 5
+    store 1
+    nandi 0
+    brn top
+"""
+
+#: Four lane streams, two of them equal.  A and C have the same sign
+#: pattern (the same branches, different OPORT values); B branches
+#: elsewhere, so its lanes fetch other instructions.
+_STREAM_A = [1, 9, 2, 12, 3, 4, 10, 5, 1, 14, 2, 3, 11, 6, 7, 9]
+_STREAM_B = [9, 1, 10, 2, 3, 12, 4, 5, 9, 6, 2, 10, 3, 5, 7, 1]
+_STREAM_C = [2, 10, 3, 13, 4, 5, 11, 6, 2, 15, 3, 4, 12, 7, 6, 8]
+_LANE_STREAMS = [_STREAM_A, _STREAM_B, list(_STREAM_A), _STREAM_C]
+
+
+class TestCrossCheckLaneInputs:
+    """run_cross_check_batch(lane_inputs=...): one IPORT stream per lane,
+    lane for lane equal to single-lane interpreted runs."""
+
+    MAX_INSTRUCTIONS = 40
+
+    @pytest.fixture(scope="class")
+    def setup(self, cores):
+        from repro.asm import assemble
+
+        isa = get_isa("flexicore4")
+        netlist = cores["flexicore4"]
+        program = assemble(_IPORT_BRANCH_SOURCE, isa)
+        rng = np.random.default_rng(8)
+        entries = [None, *sample_fault_sites(netlist, rng, 2),
+                   sample_fault_sites(netlist, rng, 3), None]
+        return netlist, isa, program, entries, {}
+
+    @pytest.mark.parametrize("lanes, backend", [
+        (12, "compiled"),  # several streams in one 64-lane word
+        (160, "vector"),   # across vector word boundaries
+    ])
+    def test_lanes_match_interpreted_runs(self, setup, lanes, backend):
+        netlist, isa, program, entries, reference = setup
+        lane_streams = [_LANE_STREAMS[lane % 4] for lane in range(lanes)]
+        lane_faults = [entries[(lane // 4) % len(entries)]
+                       for lane in range(lanes)]
+        assert resolve_backend(None, lanes).name == backend
+        batched = run_cross_check_batch(
+            netlist, isa, program, faults=lane_faults,
+            lane_inputs=lane_streams,
+            max_instructions=self.MAX_INSTRUCTIONS,
+        )
+        assert len(batched) == lanes
+        for lane, outcome in enumerate(batched):
+            key = (lane % 4, (lane // 4) % len(entries))
+            if key not in reference:
+                reference[key] = run_cross_check(
+                    netlist, isa, program, inputs=lane_streams[lane],
+                    fault=lane_faults[lane], backend="interpreted",
+                    max_instructions=self.MAX_INSTRUCTIONS,
+                )
+            assert outcome == reference[key], lane
+
+    def test_streams_change_control_flow(self, setup):
+        """The fixture's premise: A and C fetch alike, B does not, so
+        one batch runs two lane groups."""
+        from repro.netlist.verify import _replay
+
+        _, isa, program, _, _ = setup
+        fetches = [
+            _replay(isa, program.image(), stream,
+                    self.MAX_INSTRUCTIONS).fetches
+            for stream in _LANE_STREAMS
+        ]
+        assert fetches[0] == fetches[2] == fetches[3] != fetches[1]
+
+    def test_lane_inputs_length_must_match_faults(self, setup):
+        netlist, isa, program, _, _ = setup
+        with pytest.raises(ValueError, match="lane_inputs"):
+            run_cross_check_batch(
+                netlist, isa, program, faults=[None, None],
+                lane_inputs=[_STREAM_A],
+            )
+        with pytest.raises(ValueError, match="not both"):
+            run_cross_check_batch(
+                netlist, isa, program, faults=[None],
+                inputs=_STREAM_A, lane_inputs=[_STREAM_A],
+            )
 
 
 class TestDseCoreEquivalence:

@@ -16,7 +16,7 @@ from repro.engine import (
     retry_delay_s,
     spawn_seeds,
 )
-from repro.engine.graph import CANCELLED, DONE, FAILED
+from repro.engine.graph import CACHED, CANCELLED, DONE, FAILED
 
 #: Execution order observed by the serial graph jobs (jobs=1 keeps
 #: everything in-process, so a plain list is a faithful recorder).
@@ -32,6 +32,12 @@ def record_job(params, seed):
 @job_function("graphtest.add", version="1")
 def add_job(params, seed):
     return params.get("base", 0) + sum(params.get("inputs", ()))
+
+
+@job_function("graphtest.recorded_add", version="1")
+def recorded_add_job(params, seed):
+    _ORDER.append("add")
+    return add_job(params, seed)
 
 
 @job_function("graphtest.double", version="1")
@@ -181,16 +187,23 @@ class TestGraphCache:
     def test_second_graph_run_hits_cache(self, tmp_path):
         cold = Engine(jobs=1, cache=tmp_path)
         a = cold.submit(Job(double_job, {"value": 4}))
-        cold.submit(Job(add_job, {"base": 1}), deps={"inputs": [a]})
+        cold.submit(Job(recorded_add_job, {"base": 1}),
+                    deps={"inputs": [a]})
         cold_results = cold.run_graph()
 
+        _ORDER.clear()
         warm = Engine(jobs=1, cache=tmp_path)
         a2 = warm.submit(Job(double_job, {"value": 4}))
-        warm.submit(Job(add_job, {"base": 1}), deps={"inputs": [a2]})
+        b2 = warm.submit(Job(recorded_add_job, {"base": 1}),
+                         deps={"inputs": [a2]})
         warm_results = warm.run_graph()
         assert warm_results == cold_results
         assert warm.metrics.cache_hits == 2
         assert warm.metrics.cache_misses == 0
+        # The dependent is answered from the cache, not run again after
+        # its dependency's hit queued it.
+        assert (a2.status, b2.status) == (CACHED, CACHED)
+        assert _ORDER == []
 
     def test_uncached_node_stays_out_of_the_cache(self, tmp_path):
         engine = Engine(jobs=1, cache=tmp_path)

@@ -171,8 +171,8 @@ class TestGateLevelYield:
         fabricated = fabricate_wafer(
             fc4_netlist, process_for("flexicore4"), rng
         )
-        probes, record = gate_probe_wafer(
-            fc4_netlist, get_isa("flexicore4"), fabricated, rng,
+        [(probes, record)] = gate_probe_wafer(
+            fc4_netlist, get_isa("flexicore4"), [(fabricated, rng)],
             backend="vector", max_instructions=60,
         )
         return fc4_netlist, fabricated, probes, record
@@ -230,6 +230,73 @@ class TestGateLevelYield:
         for probe in probes.values():
             for index in bad:
                 assert not probe.records[index].functional
+
+    def test_shared_campaign_matches_wafer_alone(self, fc4_netlist):
+        """A wafer probed in one campaign with others gets the results
+        it gets alone: its draws come from its own generator, and its
+        lanes see its own IPORT samples."""
+        from repro.fab.process import process_for
+        from repro.fab.yield_model import gate_probe_wafer
+        from repro.isa import get_isa
+
+        def wafers(seeds):
+            pairs = []
+            for seed in seeds:
+                rng = np.random.default_rng(seed)
+                pairs.append((fabricate_wafer(
+                    fc4_netlist, process_for("flexicore4"), rng
+                ), rng))
+            return pairs
+
+        isa = get_isa("flexicore4")
+        shared = gate_probe_wafer(
+            fc4_netlist, isa, wafers([11, 12]), max_instructions=60,
+        )
+        alone = [
+            gate_probe_wafer(
+                fc4_netlist, isa, wafers([seed]), max_instructions=60,
+            )[0]
+            for seed in (11, 12)
+        ]
+        assert shared[0][1]["inputs"] != shared[1][1]["inputs"]
+        for (probes, campaign), (solo_probes, solo_campaign) in zip(
+                shared, alone):
+            assert campaign == solo_campaign
+            for voltage, probe in probes.items():
+                assert probe.records == solo_probes[voltage].records
+
+    def test_study_identical_for_every_worker_count(self, tmp_path,
+                                                    monkeypatch):
+        """Five wafers split 5, 2+3, 1+2+2 and 1+1+1+2 over 1-4
+        workers, one campaign (one fab.gate_probe span) per range, and
+        the study comes out equal every time."""
+        from repro import obs
+        from repro.engine import Engine
+        from repro.fab import run_gate_yield_study
+        from repro.fab.process import process_for
+
+        monkeypatch.setenv("REPRO_STATE_DIR", str(tmp_path / "state"))
+        studies = []
+        for jobs in (1, 2, 3, 4):
+            obs.reset()
+            obs.configure(trace=True)
+            try:
+                with Engine(jobs=jobs) as engine:
+                    studies.append(run_gate_yield_study(
+                        process_for("flexicore4"), seed=5, wafers=5,
+                        max_instructions=60, engine=engine,
+                    ))
+                probes = [record for record in obs.collected_spans()
+                          if record["name"] == "fab.gate_probe"]
+            finally:
+                obs.reset()
+            sizes = [5 * (i + 1) // jobs - 5 * i // jobs
+                     for i in range(jobs)]
+            assert sorted(record["attrs"]["dies"] for record in probes) \
+                == sorted(124 * size for size in sizes)
+        assert len(studies[0]["wafers"]) == 5
+        for study in studies[1:]:
+            assert study == studies[0]
 
     def test_study_runs_through_engine(self):
         from repro.fab import run_gate_yield_study

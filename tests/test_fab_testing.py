@@ -8,6 +8,7 @@ from repro.fab.testing import (
     directed_program,
     fault_injection_study,
     random_program,
+    sample_fault_sites,
     toggle_coverage_study,
 )
 from repro.isa import get_isa
@@ -60,6 +61,41 @@ class TestRandomProgram:
         p1 = random_program(isa, np.random.default_rng(1))
         p2 = random_program(isa, np.random.default_rng(2))
         assert p1.image() != p2.image()
+
+
+def _sample_fault_sites_from_list(netlist, rng, count):
+    """The list-based reference: materialize every (gate, stuck) site,
+    then draw from the list."""
+    sites = [(gate.name, stuck)
+             for gate in netlist.gates for stuck in (0, 1)]
+    count = min(count, len(sites))
+    if count == 0:
+        return []
+    chosen = rng.choice(len(sites), size=count, replace=False)
+    return [sites[int(index)] for index in chosen]
+
+
+class TestFaultSiteSampling:
+    @pytest.mark.parametrize("builder", [build_flexicore4, build_flexicore8])
+    def test_index_draw_matches_list_reference(self, builder):
+        netlist = builder()
+        sites = 2 * len(netlist.gates)
+        for seed in range(40):
+            for count in (0, 1, 3, 7, sites, sites + 5):
+                drawn = sample_fault_sites(
+                    netlist, np.random.default_rng(seed), count
+                )
+                reference = _sample_fault_sites_from_list(
+                    netlist, np.random.default_rng(seed), count
+                )
+                assert drawn == reference
+                assert all(type(stuck) is int for _, stuck in drawn)
+
+    def test_draws_are_distinct_and_clamped(self, fc4):
+        drawn = sample_fault_sites(
+            fc4, np.random.default_rng(3), 10 * len(fc4.gates)
+        )
+        assert len(drawn) == len(set(drawn)) == 2 * len(fc4.gates)
 
 
 class TestFaultDetection:
