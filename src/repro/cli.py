@@ -274,9 +274,9 @@ def cmd_kernels(args):
     for kernel in SUITE:
         inputs = kernel.generate_inputs(rng, args.transactions)
         result = kernel.check(target, inputs)
-        program = kernel.program(target)
-        print(f"{kernel.name:<16} {program.static_instructions:7d} "
-              f"{program.size_bytes:6d} {len(program.pages):6d} "
+        binary = kernel.binary(target)
+        print(f"{kernel.name:<16} {binary.static_instructions:7d} "
+              f"{binary.size_bytes:6d} {binary.pages:6d} "
               f"{result.stats.instructions:8d} {'OK':>8}")
     return 0
 
@@ -950,7 +950,7 @@ def build_parser():
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("kernels", help="run the benchmark suite")
-    p.add_argument("--transactions", type=int, default=10)
+    p.add_argument("--transactions", type=_positive_int, default=10)
     p.add_argument("--seed", type=int, default=2022)
     _add_isa_argument(p)
     p.set_defaults(fn=cmd_kernels)

@@ -121,8 +121,7 @@ def _run_kernel(kernel, target, transactions, seed):
     rng = np.random.default_rng(seed)
     inputs = kernel.generate_inputs(rng, transactions)
     result = kernel.check(target, inputs)
-    program = kernel.program(target)
-    return program, result.stats
+    return kernel.binary(target), result.stats
 
 
 def gate_level_check(design, cycles=64, seed=2022):
@@ -246,7 +245,7 @@ def _evaluate_design(design, transactions, seed, vdd, bus_bits):
         and effective_bus < min_instr_bits
     )
     for kernel in SUITE:
-        program, stats = _run_kernel(kernel, target, transactions, seed)
+        binary, stats = _run_kernel(kernel, target, transactions, seed)
         if design.microarch == MicroArch.MULTICYCLE:
             # The multicycle load-store machine trades its second register
             # port for an extra operand-read cycle (Section 6.2): CPI 3
@@ -263,8 +262,8 @@ def _evaluate_design(design, transactions, seed, vdd, bus_bits):
         feasible = design_feasible
         time_s = cycles * period_s
         metrics.kernels[kernel.name] = KernelMetrics(
-            static_instructions=program.static_instructions,
-            code_bits=program.size_bits,
+            static_instructions=binary.static_instructions,
+            code_bits=binary.size_bits,
             dynamic_instructions=stats.instructions,
             cycles=cycles,
             time_s=time_s,

@@ -45,7 +45,7 @@ class FeatureReport:
 
 def _suite_code_bits(target):
     return {
-        kernel.name: kernel.program(target).size_bits for kernel in SUITE
+        kernel.name: kernel.binary(target).size_bits for kernel in SUITE
     }
 
 

@@ -236,10 +236,15 @@ def _sweep():
     return feature_sweep()
 
 
+@lru_cache(maxsize=None)
+def _revised():
+    return revised_isa_report()
+
+
 def figure9():
     """Core area / cell count / suite code size per extension."""
     base, reports = _sweep()
-    revised = revised_isa_report()
+    revised = _revised()
     return {
         "features": [
             {
@@ -279,7 +284,7 @@ def format_figure9():
 def figure10():
     """Per-benchmark code size under each extension, vs the base ISA."""
     _, reports = _sweep()
-    revised = revised_isa_report()
+    revised = _revised()
     return {
         "by_feature": {
             report.feature: report.code_ratio_by_kernel

@@ -266,9 +266,8 @@ def table6():
     target = Target.named("flexicore4")
     rows = {}
     for kernel in SUITE:
-        program = kernel.program(target)
         rows[kernel.name] = {
-            "static_instructions": program.static_instructions,
+            "static_instructions": kernel.binary(target).static_instructions,
             "app_type": kernel.app_type,
             "paper": paper_data.TABLE6[kernel.name],
         }

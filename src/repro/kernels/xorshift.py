@@ -13,7 +13,8 @@ responds with the low then high nibble of the fresh state.  The base-ISA
 version spills across two program pages and exercises the off-chip MMU.
 """
 
-from repro.kernels.kernel import Kernel
+from repro.asm.errors import LayoutError
+from repro.kernels.kernel import Kernel, kernel_binary
 
 #: Full-period shift triple for x ^= x<<A; x ^= x>>B; x ^= x<<C.
 SHIFT_A, SHIFT_B, SHIFT_C = 1, 1, 2
@@ -110,14 +111,14 @@ def build(target):
     ]
     # Base-ISA code exceeds one 128-byte page: split at the step
     # boundaries and return through the MMU.  Feature-rich targets fit in
-    # page 0 (detected by a probe assembly).
-    from repro.asm.errors import LayoutError
-
-    flat = lines + step2 + step3 + ["    %jump loop", "    %emit_pool"]
+    # page 0 (detected by a probe assembly, which the kernel memo keeps:
+    # when it fits, the probe is the kernel's own binary).
+    flat = "\n".join(
+        lines + step2 + step3 + ["    %jump loop", "    %emit_pool"]
+    )
     try:
-        probe = target.assemble("\n".join(flat), source_name="xorshift-probe")
-        if probe.size_bytes <= 124:
-            return "\n".join(flat)
+        if kernel_binary(target, flat, "xorshift-probe").size_bytes <= 124:
+            return flat
     except LayoutError:
         pass
     paged = list(lines)

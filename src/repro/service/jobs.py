@@ -524,14 +524,14 @@ def kernel_run_job(params, seed):
     rng = np.random.default_rng(params["seed"])
     inputs = kernel.generate_inputs(rng, params["transactions"])
     result = kernel.check(target, inputs)
-    program = kernel.program(target)
+    binary = kernel.binary(target)
     return {
         "kernel": kernel.name,
         "isa": target.name,
         "transactions": params["transactions"],
         "inputs": len(inputs),
-        "static_instructions": program.static_instructions,
-        "code_bytes": program.size_bytes,
+        "static_instructions": binary.static_instructions,
+        "code_bytes": binary.size_bytes,
         "dynamic_instructions": result.instructions,
         "reason": result.reason,
         "checked": True,

@@ -151,14 +151,21 @@ class TestErrorPaths:
             capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
-        (["--wafers", "0"], "--wafers: must be a positive integer"),
-        (["--wafers", "-1"], "--wafers: must be a positive integer"),
-        (["--fault-check", "-5"],
+        (["yield", "--no-cache", "--wafers", "0"],
+         "--wafers: must be a positive integer"),
+        (["yield", "--no-cache", "--wafers", "-1"],
+         "--wafers: must be a positive integer"),
+        (["yield", "--no-cache", "--fault-check", "-5"],
          "--fault-check: must be a non-negative integer"),
-    ], ids=["wafers=0", "wafers=-1", "fault-check=-5"])
+        (["kernels", "--transactions", "0"],
+         "--transactions: must be a positive integer"),
+        (["kernels", "--transactions", "-3"],
+         "--transactions: must be a positive integer"),
+    ], ids=["wafers=0", "wafers=-1", "fault-check=-5",
+            "kernels-transactions=0", "kernels-transactions=-3"])
     def test_yield_rejects_nonsense_counts(self, capsys, argv, message):
         with pytest.raises(SystemExit) as info:
-            main(["yield", "--no-cache"] + argv)
+            main(argv)
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert message in err
