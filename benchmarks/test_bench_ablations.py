@@ -154,9 +154,8 @@ class TestDefectDensityAblation:
                         FC4_WAFER.defect_density_per_mm2 * scale
                     ),
                 )
-                rng = np.random.default_rng(12)
-                summary = run_yield_study(netlist, process, rng,
-                                          wafers=3)
+                summary = run_yield_study(netlist, process, wafers=3,
+                                          seed=12, core="flexicore4")
                 results[scale] = summary[4.5]["inclusion"]
             return results
 

@@ -6,7 +6,6 @@ reports.  Run with ``pytest benchmarks/ --benchmark-only`` (add ``-s`` to
 see the tables).
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import print_result
@@ -55,8 +54,8 @@ class TestTable5:
         netlist = build_flexicore4()
 
         def monte_carlo():
-            rng = np.random.default_rng(1)
-            return run_yield_study(netlist, FC4_WAFER, rng, wafers=2)
+            return run_yield_study(netlist, FC4_WAFER, wafers=2, seed=1,
+                                   core="flexicore4")
 
         summary = benchmark.pedantic(monte_carlo, rounds=2, iterations=1)
         assert 0.6 < summary[4.5]["inclusion"] <= 1.0

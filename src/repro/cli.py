@@ -85,49 +85,6 @@ def _add_engine_arguments(parser):
         "--engine-verbose", action="store_true",
         help="print per-job engine progress to stderr",
     )
-    _add_executor_arguments(group)
-
-
-def _add_executor_arguments(group):
-    group.add_argument(
-        "--executor", default=None,
-        choices=("local", "socket"),
-        help="engine backend: 'local' process pool (default) or "
-             "'socket', a coordinator that remote 'repro worker join' "
-             "processes serve",
-    )
-    group.add_argument(
-        "--bind", default="127.0.0.1:0", metavar="HOST:PORT",
-        help="socket executor: coordinator bind address "
-             "(default 127.0.0.1:0, an ephemeral port)",
-    )
-    group.add_argument(
-        "--min-workers", type=_positive_int, default=1, metavar="N",
-        help="socket executor: workers to wait for before "
-             "dispatching (default 1)",
-    )
-
-
-def _executor_spec(args):
-    """The ``executor=`` value for :class:`Engine` from CLI flags.
-
-    A socket spec is built eagerly so the coordinator address is known
-    (and printed) before the first run; other specs pass through as
-    names.
-    """
-    spec = getattr(args, "executor", None)
-    if spec == "socket":
-        from repro.engine import make_executor
-
-        spec = make_executor(
-            "socket", bind=args.bind, min_workers=args.min_workers,
-            workers=getattr(args, "jobs", 1),
-        )
-        host, port = spec.address
-        print(f"engine: socket coordinator on {host}:{port} -- "
-              f"add workers with 'repro worker join {host}:{port}'",
-              file=sys.stderr)
-    return spec
 
 
 def _configure_engine(args):
@@ -142,8 +99,7 @@ def _configure_engine(args):
         args, "engine_verbose", False
     ) else None
     cache = None if args.no_cache else (args.cache_dir or True)
-    return engine.configure(jobs=args.jobs, cache=cache, hooks=hooks,
-                            executor=_executor_spec(args))
+    return engine.configure(jobs=args.jobs, cache=cache, hooks=hooks)
 
 
 def _add_obs_arguments(parser):
@@ -554,12 +510,7 @@ def cmd_engine(args):
     last = load_last_run(cache.root)
     if last:
         print("last run:")
-        info = last.get("executor_info") or {}
-        print(f"  executor {last.get('executor', 'local')}: "
-              f"{info.get('workers', last.get('workers', 1))} "
-              f"worker(s)"
-              + (f", {len(info['members'])} cluster member(s)"
-                 if info.get("members") else ""))
+        print(f"  {last.get('workers', 1)} worker(s)")
         print(f"  jobs {last['jobs_completed']}/{last['jobs_submitted']}"
               f" completed, cache hit rate "
               f"{100 * last['cache_hit_rate']:.0f}%, "
@@ -633,35 +584,6 @@ def cmd_obs(args):
     return 2
 
 
-def cmd_worker(args):
-    from repro.engine.executors.worker import run_worker
-
-    host, _, port = args.address.rpartition(":")
-    if not host or not port.isdigit():
-        print(f"error: expected HOST:PORT, got {args.address!r}",
-              file=sys.stderr)
-        return 2
-
-    def on_event(event, detail):
-        if args.verbose:
-            print(f"worker: {event} {detail}", file=sys.stderr)
-
-    print(f"joining engine coordinator at {host}:{port} "
-          f"(Ctrl-C to leave)", file=sys.stderr)
-    try:
-        served = run_worker(host, int(port), on_event=on_event)
-    except ConnectionRefusedError:
-        print(f"error: no coordinator listening on {host}:{port} "
-              f"(start a run with --executor socket first)",
-              file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        print("worker: interrupted; leaving cluster", file=sys.stderr)
-        return 0
-    print(f"worker: coordinator closed; served {served} job(s)")
-    return 0
-
-
 def cmd_conform(args):
     from repro import conformance
     from repro.conformance import corpus as corpus_store
@@ -710,8 +632,7 @@ def cmd_conform(args):
 
     # action == "run": a fresh cacheless engine -- every campaign must
     # execute its cases, never replay a previous campaign's results.
-    engine = Engine(jobs=args.jobs, cache=None,
-                    executor=_executor_spec(args))
+    engine = Engine(jobs=args.jobs, cache=None)
     oracles = args.oracles.split(",") if args.oracles else None
     targets = args.targets.split(",") if args.targets else None
     try:
@@ -1087,22 +1008,6 @@ def build_parser():
     p.set_defaults(fn=cmd_engine)
 
     p = sub.add_parser(
-        "worker",
-        help="serve engine jobs for a socket-cluster coordinator",
-    )
-    wsub = p.add_subparsers(dest="worker_action", required=True)
-    w = wsub.add_parser(
-        "join",
-        help="connect to a coordinator (a run started with "
-             "--executor socket) and execute its jobs",
-    )
-    w.add_argument("address", metavar="HOST:PORT",
-                   help="coordinator address printed by the run")
-    w.add_argument("--verbose", action="store_true",
-                   help="print per-job events to stderr")
-    w.set_defaults(fn=cmd_worker)
-
-    p = sub.add_parser(
         "obs",
         help="observability: summary / export / tail / flight recorder",
     )
@@ -1161,7 +1066,6 @@ def build_parser():
     c.add_argument("--state-dir", default=None,
                    help="state directory for the failure corpus "
                         "(default: .repro-state or $REPRO_STATE_DIR)")
-    _add_executor_arguments(c)
     _add_obs_arguments(c)
     c.set_defaults(fn=cmd_conform)
 
@@ -1201,7 +1105,8 @@ def build_parser():
     p.add_argument("--max-running", type=_positive_int, default=2,
                    metavar="N",
                    help="jobs running concurrently (default 2)")
-    p.add_argument("--max-queued", type=int, default=8, metavar="N",
+    p.add_argument("--max-queued", type=_non_negative_int, default=8,
+                   metavar="N",
                    help="queued jobs beyond the running set before "
                         "429 backpressure (default 8)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",

@@ -11,6 +11,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.dse.designs import ALL_DESIGNS, BASELINE
 from repro.dse.evaluate import evaluate_all
+from repro.dse.search import dominates
 
 #: Metric extractors (all lower-is-better).
 METRICS = {
@@ -28,13 +29,6 @@ class ParetoPoint:
     name: str
     values: Tuple[float, ...]
     dominates: Tuple[str, ...]
-
-
-def dominates(a, b):
-    """True when point ``a`` is no worse everywhere and better somewhere."""
-    return all(x <= y for x, y in zip(a, b)) and any(
-        x < y for x, y in zip(a, b)
-    )
 
 
 def pareto_frontier(points):

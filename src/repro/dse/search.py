@@ -147,14 +147,19 @@ def weakly_dominates(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
+def dominates(a, b):
+    """Pareto dominance over lower-is-better value tuples: ``a`` is no
+    worse everywhere and strictly better somewhere."""
+    return weakly_dominates(a, b) and any(x < y for x, y in zip(a, b))
+
+
 def _dominates(a, b):
     """Constraint-dominance: ``(feasible, values)`` vs the same."""
     a_ok, a_vals = a
     b_ok, b_vals = b
     if a_ok != b_ok:
         return a_ok
-    return (weakly_dominates(a_vals, b_vals)
-            and any(x < y for x, y in zip(a_vals, b_vals)))
+    return dominates(a_vals, b_vals)
 
 
 def non_dominated_sort(entries):

@@ -7,9 +7,9 @@ The engine is the execution substrate under the heavy experiment paths
   per-job seeds come from ``numpy.random.SeedSequence.spawn``, so
   serial and parallel runs agree bit-for-bit;
 - :class:`Engine` -- a scheduler streaming flat batches and dependency
-  graphs through one loop onto a process pool (or a socket cluster),
-  one job per task, with per-job timeouts, bounded retry with backoff,
-  and graceful degradation to serial when workers die;
+  graphs through one loop onto a local process pool, one job per task,
+  with per-job timeouts, bounded retry with backoff, and graceful
+  degradation to serial when workers die;
 - :class:`ResultCache` -- a content-addressed on-disk cache keyed on
   function identity + params + seed + package version, making repeat
   figure/table/DSE runs near-instant;
@@ -34,8 +34,6 @@ from repro.engine.cache import (  # noqa: F401
 from repro.engine.executors import (  # noqa: F401
     Executor,
     ExecutorBroken,
-    executor_names,
-    make_executor,
 )
 from repro.engine.graph import (  # noqa: F401
     GraphError,
@@ -72,10 +70,9 @@ __all__ = [
     "ExecutorBroken", "GraphError", "Job", "JobNode", "ResultCache",
     "as_child_seed", "cancel_all_engines", "configure",
     "current_engine", "default_cache_dir", "engine_or_default",
-    "executor_names", "function_identity", "job_cache_key",
-    "job_function", "live_engines", "load_last_run", "make_executor",
-    "progress_printer", "registered", "reset", "retry_delay_s",
-    "spawn_seeds",
+    "function_identity", "job_cache_key", "job_function",
+    "live_engines", "load_last_run", "progress_printer", "registered",
+    "reset", "retry_delay_s", "spawn_seeds",
 ]
 
 #: Process-wide default configuration.  Serial and cache-less by
@@ -88,7 +85,6 @@ _DEFAULTS = {
     "retries": 2,
     "backoff": 0.05,
     "hooks": None,
-    "executor": None,     # None/"local" | "socket" | Executor
 }
 _config = dict(_DEFAULTS)
 _default_engine = None

@@ -18,8 +18,8 @@ Layout on disk (default root: ``$REPRO_CACHE_DIR`` or ``.repro-cache``)::
 Writes are atomic (temp file + ``os.replace``, data before metadata),
 so a crash mid-write never leaves a torn pickle behind.  The engine is
 the only reader and writer: it looks every job up before dispatch and
-stores each result as it lands, in the coordinating process, so
-executors -- the local pool or socket-cluster workers -- only run jobs.
+stores each result as it lands, in the process that runs the engine,
+so pool workers only run jobs.
 
 Values that cannot be canonicalized deterministically (arbitrary objects
 whose ``repr`` embeds addresses) are rejected with ``TypeError`` rather

@@ -1,9 +1,10 @@
 """The executor contract: where engine jobs physically run.
 
 The scheduler (:mod:`repro.engine.scheduler`) decides *what* to run and
-in *which order*; an :class:`Executor` decides *where*.  The contract is
-deliberately tiny so backends can range from an in-process pool to a
-socket cluster:
+in *which order*; an :class:`Executor` decides *where*.  The one
+backend is :class:`~repro.engine.executors.local.LocalPoolExecutor`, a
+process pool on this host, and the scheduler talks to it only through
+this contract:
 
 - :meth:`Executor.submit` takes an opaque ``task_id``, a payload of
   ``(fn, params, seed, label)`` tuples (the scheduler sends one job per
@@ -30,12 +31,9 @@ import traceback
 
 from repro import obs
 
-#: Registered executor factories, keyed by spec name.
-_REGISTRY = {}
-
 
 class ExecutorBroken(RuntimeError):
-    """The backend lost tasks it cannot recover (dead pool, no workers).
+    """The backend lost tasks it cannot recover (a dead pool).
 
     ``lost`` holds the task ids whose results will never arrive; the
     scheduler re-runs them serially.
@@ -46,13 +44,13 @@ class ExecutorBroken(RuntimeError):
         self.lost = list(lost)
 
 
-def execute_payload(payload, obs_ctx=None, where="pool"):
+def execute_payload(payload, obs_ctx=None):
     """Worker-side entry point: run one payload of job tuples.
 
     ``obs_ctx`` carries the parent's observability context
     (:func:`repro.obs.worker_context`); when present, each job runs
-    under its own span (tagged ``where``: ``pool`` or ``socket``) and
-    the worker's recorded spans and metric deltas travel back with the
+    under its own ``engine.job`` span (``where=pool``) and the
+    worker's recorded spans and metric deltas travel back with the
     results.
     """
     if obs_ctx is not None:
@@ -61,7 +59,7 @@ def execute_payload(payload, obs_ctx=None, where="pool"):
     for fn, params, seed, label in payload:
         started = time.perf_counter()
         try:
-            with obs.span("engine.job", label=label, where=where):
+            with obs.span("engine.job", label=label, where="pool"):
                 value = fn(params, seed)
         except Exception as exc:
             results.append((
@@ -84,9 +82,6 @@ class Executor:
     abandoned (cancelled / timed-out) run are discarded on arrival.
     """
 
-    #: Spec name (``local`` / ``socket``).
-    name = "?"
-
     def start(self):
         """Bring up workers; idempotent."""
         raise NotImplementedError
@@ -106,43 +101,3 @@ class Executor:
     def shutdown(self):
         """Tear down workers; idempotent."""
         raise NotImplementedError
-
-    @property
-    def workers(self):
-        """Current worker count (may change at runtime for clusters)."""
-        return 1
-
-    def describe(self):
-        """Stats snapshot for ``repro engine stats`` / ``/v1/stats``."""
-        return {"executor": self.name, "workers": self.workers}
-
-
-def register_executor(name, factory):
-    """Register ``factory(**options) -> Executor`` under ``name``."""
-    _REGISTRY[name] = factory
-    return factory
-
-
-def executor_names():
-    return sorted(_REGISTRY)
-
-
-def make_executor(spec, **options):
-    """Build an executor from a spec.
-
-    ``spec`` is an :class:`Executor` instance (returned as-is), a
-    registered name (``local`` / ``socket``), or ``None``
-    (the local default).  Unknown names raise ``ValueError`` listing
-    the registered backends.
-    """
-    if isinstance(spec, Executor):
-        return spec
-    name = spec or "local"
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown executor {name!r}; expected one of "
-            f"{', '.join(executor_names())}"
-        ) from None
-    return factory(**options)

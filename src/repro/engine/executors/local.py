@@ -1,4 +1,4 @@
-"""The default backend: a local :class:`ProcessPoolExecutor`.
+"""The engine's backend: a local :class:`ProcessPoolExecutor`.
 
 Each task goes to ``pool.submit(execute_payload, ...)``; a done
 callback on its future queues the task id, so :meth:`next_result`
@@ -13,7 +13,6 @@ from repro.engine.executors.base import (
     Executor,
     ExecutorBroken,
     execute_payload,
-    register_executor,
 )
 
 
@@ -22,9 +21,7 @@ def _default_pool_factory(workers):
 
 
 class LocalPoolExecutor(Executor):
-    """Process-pool backend on this host (the default)."""
-
-    name = "local"
+    """Process-pool backend on this host."""
 
     def __init__(self, workers=1, pool_factory=None):
         self._workers = max(1, int(workers))
@@ -32,10 +29,6 @@ class LocalPoolExecutor(Executor):
         self._pool = None
         self._futures = {}        # task_id -> future
         self._done = queue.Queue()  # task_ids, in completion order
-
-    @property
-    def workers(self):
-        return self._workers
 
     def start(self):
         if self._pool is None:
@@ -85,13 +78,3 @@ class LocalPoolExecutor(Executor):
                 pool.shutdown(wait=False, cancel_futures=True)
             except Exception:
                 pass
-
-    def describe(self):
-        return {
-            "executor": self.name,
-            "workers": self._workers,
-            "running": self._pool is not None,
-        }
-
-
-register_executor("local", LocalPoolExecutor)

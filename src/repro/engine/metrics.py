@@ -49,8 +49,6 @@ class EngineMetrics:
     degraded: bool = False
     wall_s: float = 0.0
     workers: int = 1
-    #: Active executor backend (``local`` / ``socket``).
-    executor: str = "local"
     stages: List[StageMetrics] = field(default_factory=list)
 
     @property
@@ -72,7 +70,6 @@ class EngineMetrics:
             "degraded": self.degraded,
             "wall_s": round(self.wall_s, 4),
             "workers": self.workers,
-            "executor": self.executor,
             "stages": [
                 {
                     "stage": s.stage,
@@ -89,8 +86,7 @@ class EngineMetrics:
         """One-paragraph human rendering (the ``engine stats`` view)."""
         lines = [
             f"jobs: {self.jobs_completed}/{self.jobs_submitted} completed"
-            f" ({self.executor} executor, "
-            f"{self.workers} worker{'s' if self.workers != 1 else ''}"
+            f" ({self.workers} worker{'s' if self.workers != 1 else ''}"
             f"{', degraded to serial' if self.degraded else ''})",
             f"cache: {self.cache_hits} hits / {self.cache_misses} misses"
             f" ({100 * self.cache_hit_rate:.0f}% hit rate)",
@@ -168,23 +164,19 @@ def progress_printer(stream=None):
     return hook
 
 
-def persist_last_run(metrics, cache_root=None, executor=None):
+def persist_last_run(metrics, cache_root=None):
     """Persist the metrics snapshot for ``repro engine stats``.
 
     The authoritative copy goes to the observability state directory
     (:mod:`repro.obs.state`), which exists whether or not caching is
     on; when a cache root is given, a second copy lands there for
     readers that address the snapshot by cache directory.
-    ``executor`` (a backend ``describe()`` dict) rides along so stats
-    can report the active backend and its worker census.
     """
     from pathlib import Path
 
     from repro.obs import state as obs_state
 
     payload = dict(metrics.to_dict(), written=time.time())
-    if executor is not None:
-        payload["executor_info"] = executor
     obs_state.write_json(LAST_RUN_FILENAME, payload)
     if cache_root is None:
         return

@@ -6,9 +6,8 @@ The scheduler is one of three layers:
   batches through :meth:`Engine.run`, dependency graphs through
   :meth:`Engine.submit` + :meth:`Engine.run_graph`.  Both go through
   one loop: a flat batch is a graph without edges;
-- an :mod:`executor <repro.engine.executors>` decides *where* --
-  ``local`` (process pool, the default) or ``socket`` (a coordinator
-  that ``repro worker join`` workers attach to);
+- an :mod:`executor <repro.engine.executors>` decides *where*: a
+  process pool on this host;
 - the :class:`~repro.engine.cache.ResultCache` remembers results by
   content address.  This module reads and writes it around dispatch,
   so executors only run jobs.
@@ -18,8 +17,8 @@ Execution strategy for one run:
 1. every job is first looked up in the result cache (when enabled);
 2. jobs whose dependencies have finished stream into the executor,
    one job per task, with an optional per-job timeout; when at most
-   one job is left to compute (or ``jobs <= 1`` on the local backend)
-   the jobs run inline and no pool starts;
+   one job is left to compute, or ``jobs <= 1``, the jobs run inline
+   and no pool starts;
 3. each result is cached as soon as it lands;
 4. a job that raises inside a worker is retried *serially* with
    exponential backoff plus deterministic-seeded jitter (bounded by
@@ -45,7 +44,8 @@ from collections import deque
 
 from repro import obs
 from repro.engine.cache import ResultCache, job_cache_key
-from repro.engine.executors.base import ExecutorBroken, make_executor
+from repro.engine.executors.base import ExecutorBroken
+from repro.engine.executors.local import LocalPoolExecutor
 from repro.engine.graph import (
     CACHED,
     CANCELLED,
@@ -150,15 +150,13 @@ class Engine:
         between attempts.
     hooks:
         Iterable of ``hook(event, payload)`` progress callbacks.
-    executor:
-        Backend spec: ``None``/``"local"`` (process pool),
-        ``"socket"``, or a ready
-        :class:`~repro.engine.executors.base.Executor` instance.
+    pool_factory:
+        ``factory(workers)`` returning the process pool (default: a
+        :class:`~concurrent.futures.ProcessPoolExecutor`).
     """
 
     def __init__(self, jobs=1, cache=None, timeout=None, retries=2,
-                 backoff=0.05, hooks=None, pool_factory=None,
-                 executor=None):
+                 backoff=0.05, hooks=None, pool_factory=None):
         self.jobs = max(1, int(jobs))
         if cache is True:
             cache = ResultCache()
@@ -171,11 +169,8 @@ class Engine:
         self.hooks = HookSet(hooks)
         self.hooks.add(obs.engine_bridge())
         self._pool_factory = pool_factory
-        self._executor_spec = executor
         self._executor = None
-        self.metrics = EngineMetrics(
-            workers=self.jobs, executor=self.executor_name,
-        )
+        self.metrics = EngineMetrics(workers=self.jobs)
         self._cancel = threading.Event()
         self._running = False
         self._run_seq = 0
@@ -186,32 +181,19 @@ class Engine:
     # -- executor plumbing --------------------------------------------
 
     @property
-    def executor_name(self):
-        """The configured backend's spec name (without starting it)."""
-        spec = self._executor_spec
-        name = getattr(spec, "name", None)
-        if name is not None:
-            return name
-        return spec or "local"
-
-    @property
     def executor(self):
         """The live executor instance, or ``None`` before first use."""
         return self._executor
 
     def _ensure_executor(self):
         if self._executor is None:
-            self._executor = make_executor(
-                self._executor_spec,
-                workers=self.jobs,
-                pool_factory=self._pool_factory,
-            )
+            self._executor = LocalPoolExecutor(self.jobs,
+                                               self._pool_factory)
         self._executor.start()
-        self.metrics.executor = self._executor.name
         return self._executor
 
     def close(self):
-        """Shut down the executor (workers, sockets); idempotent."""
+        """Shut down the executor's worker pool; idempotent."""
         executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown()
@@ -222,12 +204,6 @@ class Engine:
     def __exit__(self, *exc_info):
         self.close()
         return False
-
-    def describe_executor(self):
-        """Stats snapshot of the backend for ``repro engine stats``."""
-        if self._executor is not None:
-            return self._executor.describe()
-        return {"executor": self.executor_name, "workers": self.jobs}
 
     # -- public API ----------------------------------------------------
 
@@ -458,7 +434,6 @@ class Engine:
             persist_last_run(
                 self.metrics,
                 self.cache.root if self.cache is not None else None,
-                executor=self.describe_executor(),
             )
         if failures and raise_on_error:
             raise failures[0]
@@ -472,11 +447,8 @@ class Engine:
 
     def _drive_graph(self, ready, resolve, run_serial_node, computing):
         # A single job to compute runs inline: no pool is worth
-        # starting for it.  A non-local backend is engaged even at
-        # jobs=1 (its workers live elsewhere); the local pool is not.
-        use_parallel = computing > 1 and (
-            self.jobs > 1 or self.executor_name != "local"
-        )
+        # starting for it.
+        use_parallel = computing > 1 and self.jobs > 1
         executor = None
         if use_parallel:
             try:

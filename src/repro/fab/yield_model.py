@@ -659,84 +659,64 @@ def _fault_job(core, child, faults, max_instructions):
     )
 
 
-def run_yield_study(netlist, process, rng=None, wafers=5,
-                    voltages=(3.0, 4.5), *, seed=None, core=None,
-                    engine=None, fault_check=0):
+def run_yield_study(netlist, process, *, seed, wafers=5,
+                    voltages=(3.0, 4.5), core=None, engine=None,
+                    fault_check=0):
     """Monte Carlo over several wafers: the Table 5 numbers.
 
     Returns {voltage: {"full": fraction, "inclusion": fraction,
     "mean_current_ma": .., "rsd": ..}} aggregated over wafers.
-    With ``fault_check=N`` (engine-seeded mode only) the summary also
-    carries a ``"fault_coverage"`` entry: an N-fault injection campaign
-    on the core that grounds the defect=non-functional assumption.
+    With ``fault_check=N`` the summary also carries a
+    ``"fault_coverage"`` entry: an N-fault injection campaign on the
+    core that grounds the defect=non-functional assumption.
 
-    Two seeding modes:
-
-    - ``seed=`` (int or :class:`~repro.engine.ChildSeed`): each wafer
-      draws from its own ``SeedSequence.spawn`` child, and the wafers
-      run as engine jobs -- parallel over ``--jobs`` workers, cached on
-      disk, and bit-for-bit identical to the serial run.  ``core`` names
-      the registered core builder (defaults to ``netlist.name``).
-    - ``rng=`` (legacy): a single generator threaded through the wafers
-      sequentially; inherently serial and order-dependent, kept for
-      callers that fabricate unregistered netlists.
+    ``seed`` (int or :class:`~repro.engine.ChildSeed`) seeds the study:
+    each wafer draws from its own ``SeedSequence.spawn`` child, and the
+    wafers run as engine jobs -- parallel over ``--jobs`` workers,
+    cached on disk, and bit-for-bit identical to the serial run.  Jobs
+    rebuild the netlist in the worker, so ``core`` must name a
+    registered core builder (default ``netlist.name``).
     """
-    if seed is not None:
-        core = core or getattr(netlist, "name", None)
-        from repro.netlist.cores import CORE_BUILDERS
+    core = core or getattr(netlist, "name", None)
+    from repro.netlist.cores import CORE_BUILDERS
 
-        if core not in CORE_BUILDERS:
-            raise ValueError(
-                f"engine-backed yield study needs a registered core "
-                f"name, got {core!r}; pass rng= for ad-hoc netlists"
-            )
-        # One child per wafer plus a spare for the optional fault
-        # campaign, so the two studies never share a seed stream.
-        # Everything goes into one dependency graph: the wafer jobs
-        # and the fault campaign are independent branches that overlap
-        # in the executor, and the merge node streams in as soon as
-        # the last wafer lands (instead of barriering per stage).
-        children = spawn_seeds(seed, wafers + 1)
-        eng = engine_or_default(engine)
-        # The fault campaign is the long pole, so it is submitted (and
-        # therefore dispatched) first; the wafer jobs pack in around it
-        # on the remaining workers.
-        fault_node = None
-        if fault_check:
-            fault_node = eng.submit(_fault_job(
-                core, children[wafers], fault_check, 300))
-        wafer_nodes = [
-            eng.submit(Job(
-                wafer_yield_job,
-                {"core": core, "process": process,
-                 "voltages": tuple(voltages)},
-                seed=child,
-                label=f"{core}:wafer{index}",
-            ))
-            for index, child in enumerate(children[:wafers])
-        ]
-        merge_node = eng.submit(
-            Job(merge_yield_job, {"voltages": tuple(voltages)},
-                label=f"{core}:merge", cached=False),
-            deps={"per_wafer": wafer_nodes},
+    if core not in CORE_BUILDERS:
+        raise ValueError(
+            f"a yield study needs a registered core name (one of "
+            f"{', '.join(sorted(CORE_BUILDERS))}), got {core!r}"
         )
-        eng.run_graph(stage=f"yield:{core}")
-        summary = merge_node.result
-        if fault_node is not None:
-            summary["fault_coverage"] = fault_node.result
-        return summary
-
+    # One child per wafer plus a spare for the optional fault
+    # campaign, so the two studies never share a seed stream.
+    # Everything goes into one dependency graph: the wafer jobs
+    # and the fault campaign are independent branches that overlap
+    # in the executor, and the merge node streams in as soon as
+    # the last wafer lands (instead of barriering per stage).
+    children = spawn_seeds(seed, wafers + 1)
+    eng = engine_or_default(engine)
+    # The fault campaign is the long pole, so it is submitted (and
+    # therefore dispatched) first; the wafer jobs pack in around it
+    # on the remaining workers.
+    fault_node = None
     if fault_check:
-        raise TypeError(
-            "fault_check= needs the engine-seeded mode (pass seed=)"
-        )
-    if rng is None:
-        raise TypeError("run_yield_study requires either seed= or rng=")
-    per_wafer = []
-    for _ in range(wafers):
-        fabricated = fabricate_wafer(netlist, process, rng)
-        per_wafer.append({
-            voltage: _probe_bucket(fabricated.probe(voltage, rng))
-            for voltage in voltages
-        })
-    return _merge_buckets(per_wafer, voltages)
+        fault_node = eng.submit(_fault_job(
+            core, children[wafers], fault_check, 300))
+    wafer_nodes = [
+        eng.submit(Job(
+            wafer_yield_job,
+            {"core": core, "process": process,
+             "voltages": tuple(voltages)},
+            seed=child,
+            label=f"{core}:wafer{index}",
+        ))
+        for index, child in enumerate(children[:wafers])
+    ]
+    merge_node = eng.submit(
+        Job(merge_yield_job, {"voltages": tuple(voltages)},
+            label=f"{core}:merge", cached=False),
+        deps={"per_wafer": wafer_nodes},
+    )
+    eng.run_graph(stage=f"yield:{core}")
+    summary = merge_node.result
+    if fault_node is not None:
+        summary["fault_coverage"] = fault_node.result
+    return summary

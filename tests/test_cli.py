@@ -151,6 +151,36 @@ class TestErrorPaths:
             capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
+        (["yield", "--executor", "socket"],
+         "unrecognized arguments: --executor socket"),
+        # dse takes a subcommand, so the stray value is read as one.
+        (["dse", "--executor", "socket"],
+         "invalid choice: 'socket'"),
+        (["dse", "search", "--executor", "socket"],
+         "unrecognized arguments: --executor socket"),
+        (["pareto", "--executor", "socket"],
+         "unrecognized arguments: --executor socket"),
+        (["experiments", "table5", "--executor", "socket"],
+         "unrecognized arguments: --executor socket"),
+        (["report", "--executor", "socket"],
+         "unrecognized arguments: --executor socket"),
+        (["conform", "run", "--executor", "socket"],
+         "unrecognized arguments: --executor socket"),
+        (["worker", "join", "127.0.0.1:1"],
+         "invalid choice: 'worker'"),
+    ], ids=["yield", "dse", "dse-search", "pareto", "experiments",
+            "report", "conform-run", "worker-join"])
+    def test_socket_cluster_is_gone(self, capsys, argv, message):
+        # The engine runs on a local process pool only: no command
+        # selects an executor, and there is no worker to join.
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
         (["yield", "--no-cache", "--wafers", "0"],
          "--wafers: must be a positive integer"),
         (["yield", "--no-cache", "--wafers", "-1"],
@@ -161,8 +191,11 @@ class TestErrorPaths:
          "--transactions: must be a positive integer"),
         (["kernels", "--transactions", "-3"],
          "--transactions: must be a positive integer"),
+        (["serve", "--max-queued", "-3"],
+         "--max-queued: must be a non-negative integer"),
     ], ids=["wafers=0", "wafers=-1", "fault-check=-5",
-            "kernels-transactions=0", "kernels-transactions=-3"])
+            "kernels-transactions=0", "kernels-transactions=-3",
+            "serve-max-queued=-3"])
     def test_yield_rejects_nonsense_counts(self, capsys, argv, message):
         with pytest.raises(SystemExit) as info:
             main(argv)

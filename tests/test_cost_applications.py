@@ -126,7 +126,7 @@ class TestParetoExplorer:
         assert "LS SC" not in points
 
     def test_dominates_relation(self):
-        from repro.dse.explorer import dominates
+        from repro.dse.search import dominates
 
         assert dominates((1, 1), (2, 2))
         assert dominates((1, 2), (1, 3))

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.dse.explorer import (
-    dominates,
     explore,
     format_frontier,
     pareto_frontier,
@@ -16,6 +15,7 @@ from repro.dse.explorer import (
 from repro.dse.search import (
     SearchConfig,
     crowding_distance,
+    dominates,
     exhaustive,
     format_search_frontier,
     frontier_of,

@@ -136,11 +136,9 @@ class TestYieldStudyParallelEqualsSerial:
         assert engine.metrics.cache_hits == 0
         assert fc4 != fc8_process
 
-    def test_legacy_rng_path_still_works(self, netlist):
-        import numpy as np
-
+    def test_summary_keys_are_voltages(self, netlist):
         summary = run_yield_study(
-            netlist, FC4_WAFER, np.random.default_rng(3), wafers=2
+            netlist, FC4_WAFER, wafers=2, seed=3, core="flexicore4",
         )
         assert set(summary) == {3.0, 4.5}
 

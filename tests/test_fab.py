@@ -120,10 +120,11 @@ class TestYieldCalibration:
 
     @pytest.fixture(scope="class")
     def summaries(self, fc4_netlist, fc8_netlist):
-        rng = np.random.default_rng(2022)
         return {
-            "fc4": run_yield_study(fc4_netlist, FC4_WAFER, rng, wafers=8),
-            "fc8": run_yield_study(fc8_netlist, FC8_WAFER, rng, wafers=8),
+            "fc4": run_yield_study(fc4_netlist, FC4_WAFER, wafers=8,
+                                   seed=2022, core="flexicore4"),
+            "fc8": run_yield_study(fc8_netlist, FC8_WAFER, wafers=8,
+                                   seed=2022, core="flexicore8"),
         }
 
     def test_fc4_inclusion_yield_at_4v5(self, summaries):
