@@ -15,7 +15,8 @@ this contract:
   reassembles submission order itself;
 - a backend that loses work it cannot recover raises
   :class:`ExecutorBroken` carrying the lost task ids, and the scheduler
-  degrades those tasks to serial execution.
+  dispatches those tasks again on a fresh pool (serially once the run
+  has used up its pool restarts).
 
 Outcomes use the same shape everywhere: ``("ok", value, elapsed_s)`` or
 ``("err", message, traceback_text)``, one per payload entry, in payload
@@ -36,7 +37,7 @@ class ExecutorBroken(RuntimeError):
     """The backend lost tasks it cannot recover (a dead pool).
 
     ``lost`` holds the task ids whose results will never arrive; the
-    scheduler re-runs them serially.
+    scheduler runs them again.
     """
 
     def __init__(self, reason, lost=()):

@@ -2,7 +2,9 @@
 
 Each task goes to ``pool.submit(execute_payload, ...)``; a done
 callback on its future queues the task id, so :meth:`next_result`
-hands results back in completion order.
+hands results back in completion order.  A pool that breaks, in a
+result or in a submit, is dropped, and the next :meth:`start` builds
+a fresh one.
 """
 
 import queue
@@ -40,20 +42,22 @@ class LocalPoolExecutor(Executor):
         try:
             future = self._pool.submit(execute_payload, *args)
         except Exception as exc:
-            raise ExecutorBroken(
-                f"could not submit to pool: {exc}", lost=[task_id]
-            ) from exc
+            raise self._broken(exc, also_lost=[task_id]) from exc
         self._futures[task_id] = future
-        future.add_done_callback(lambda _f, t=task_id: self._done.put(t))
+        future.add_done_callback(
+            lambda f, t=task_id: self._done.put((t, f))
+        )
 
     def next_result(self, timeout):
         try:
-            task_id = self._done.get(timeout=timeout)
+            task_id, future = self._done.get(timeout=timeout)
         except queue.Empty:
             return None
-        future = self._futures.pop(task_id, None)
-        if future is None:  # already abandoned by _broken()
+        # A future abandoned by _broken() may finish late, after its
+        # task id was submitted again to a fresh pool.
+        if self._futures.get(task_id) is not future:
             return None
+        del self._futures[task_id]
         try:
             outcomes, obs_payload = future.result(timeout=0)
         except (BrokenProcessPool, OSError) as exc:

@@ -23,7 +23,9 @@ Execution strategy for one run:
 4. a job that raises inside a worker is retried *serially* with
    exponential backoff plus deterministic-seeded jitter (bounded by
    ``retries``);
-5. a broken executor or a timeout degrades the run to serial for the
+5. a broken pool is replaced by a fresh one and its lost jobs are
+   dispatched again, up to :data:`_POOL_RESTARTS` times per run; one
+   more break, or a timeout, degrades the run to serial for the
    remaining jobs rather than failing it.
 
 A job that exhausts its retries marks every transitive dependent
@@ -66,6 +68,11 @@ from repro.engine.metrics import (
     StageMetrics,
     persist_last_run,
 )
+
+
+#: Fresh pools one run may start after its pool breaks; the next break
+#: degrades the rest of the run to serial.
+_POOL_RESTARTS = 2
 
 
 class EngineJobError(RuntimeError):
@@ -461,6 +468,7 @@ class Engine:
         prefix = f"g{self._run_seq}"
         outstanding = {}
         deadlines = {}
+        restarts = 0
 
         def dispatch(node):
             job = node.job
@@ -482,6 +490,7 @@ class Engine:
                     run_serial_node(node)
                 continue
             broken = None
+            timed_out = False
             while ready and broken is None:
                 node = ready.popleft()
                 if node.status != PENDING:
@@ -502,6 +511,7 @@ class Engine:
                 if broken is None and deadlines and any(
                     deadline < now for deadline in deadlines.values()
                 ):
+                    timed_out = True
                     broken = ExecutorBroken(
                         "timeout waiting on graph node(s)"
                     )
@@ -520,13 +530,23 @@ class Engine:
                             run_serial_node(node, attempts_used=1)
             if broken is not None:
                 self.metrics.worker_failures += 1
-                self._degrade(str(broken))
-                use_parallel = False
                 for node in outstanding.values():
                     node.status = PENDING
                     ready.append(node)
                 outstanding.clear()
                 deadlines.clear()
+                if timed_out or restarts == _POOL_RESTARTS:
+                    self._degrade(str(broken))
+                    use_parallel = False
+                    continue
+                # The executor dropped the dead pool; start a fresh one
+                # for the lost nodes and the rest of the run.
+                restarts += 1
+                try:
+                    executor = self._ensure_executor()
+                except Exception as exc:
+                    self._degrade(f"could not restart executor: {exc}")
+                    use_parallel = False
 
     # -- serial path ---------------------------------------------------
 

@@ -67,9 +67,9 @@ def run_cross_check(netlist, isa, program, inputs=None, max_instructions=500,
     the gate-level simulation backend (``"interpreted"`` /
     ``"compiled"`` / ``"vector"``; ``None`` picks ``compiled``, the
     lane-count rule's choice for one lane).  ``fastpath`` replays the
-    ISA side through the predecoded page table (decode once per
-    program instead of once per instruction); ``False`` keeps the
-    per-instruction ``isa.decode`` reference replay.
+    ISA side through the predecoded page table (each offset decoded
+    once per program instead of once per instruction); ``False`` keeps
+    the per-instruction ``isa.decode`` reference replay.
 
     Only single-page programs can be cross-checked (the gate-level core
     is the bare die; the MMU is a separate component).
@@ -161,7 +161,7 @@ def _replay(isa, image, input_values, max_instructions, fastpath=True):
 
     With ``fastpath`` the replay pulls each instruction (semantics,
     size, input-port read flag) from the page-0 predecode table, so a
-    whole fault campaign decodes the program once; the
+    whole fault campaign decodes each fetched offset once; the
     ``fastpath=False`` reference re-runs ``isa.decode`` every
     instruction.
     """
@@ -188,7 +188,7 @@ def _replay(isa, image, input_values, max_instructions, fastpath=True):
     for _ in range(max_instructions):
         boundary = (state.pc, state.mem[1])
         if table is not None:
-            decoded = table.decoded[state.pc]
+            decoded = table.entry(state.pc)
             if decoded is None:
                 isa.decode(image + bytes(4), state.pc)  # raise faithfully
             will_read_input = table.reads_iport[state.pc]

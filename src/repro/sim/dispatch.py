@@ -7,10 +7,10 @@ registered:
 
 - ``"reference"`` -- the single-step :meth:`Simulator.step` loop, the
   bit-exact reference (fetch window, decode, execute, per-step stats);
-- ``"predecode"`` -- the fast path: each page is decoded once into a
-  :mod:`repro.sim.predecode` table, then a tight loop dispatches bound
-  semantic functions, accumulating statistics in flat per-offset
-  counters that fold into a bit-identical
+- ``"predecode"`` -- the fast path: each offset is decoded on its first
+  fetch into a :mod:`repro.sim.predecode` table, then a tight loop
+  dispatches bound semantic functions, accumulating statistics in flat
+  per-offset counters that fold into a bit-identical
   :class:`~repro.sim.simulator.ExecStats` at run end.
 
 Consumers select a dispatch by name (or with the ``fastpath=`` sugar on
@@ -79,8 +79,8 @@ def run_predecoded(simulator, max_cycles):
     table's per-offset flags gate everything else:
 
     - ``stats.instructions`` is synced only before instructions that may
-      write the output port (``syncs``), keeping sink cycle stamps
-      identical to the reference;
+      write the output port (``syncs``, also True for an offset not yet
+      decoded), keeping sink cycle stamps identical to the reference;
     - taken-branch and halt bookkeeping runs only for branches and
       ``halt`` (``specials``) -- nothing else can redirect or stop the
       machine;

@@ -1,28 +1,31 @@
-"""Predecoded program tables: decode once, dispatch many.
+"""Predecoded program tables: decode on first fetch, dispatch many.
 
 FlexiCore programs are tiny (at most sixteen 128-byte pages) and hot --
 every kernel evaluation, fault-campaign oracle and DSE sweep re-executes
 the same few hundred bytes millions of times.  The reference
 :meth:`~repro.sim.simulator.Simulator.step` loop re-decodes the
-instruction under the PC on every cycle; this module instead decodes
-each page **once** per ``(isa, image)`` into a dense per-offset table of
-bound semantic functions, so the execution loop in
-:mod:`repro.sim.dispatch` becomes a table lookup plus one call.
+instruction under the PC on every cycle; this module instead keeps one
+dense per-offset table of bound semantic functions per page of each
+``(isa, image)``, so the execution loop in :mod:`repro.sim.dispatch`
+becomes a table lookup plus one call.
 
 A :class:`PageTable` holds parallel per-offset lists (function,
 operands, size, fall-through PC, branch flag, ...) rather than per-offset
-objects, so the hot loop indexes flat lists.  Offsets whose bytes do not
-decode store an error message instead -- the fault is raised only if the
-PC actually lands there, exactly like the lazy reference fetch.
+objects, so the hot loop indexes flat lists.  It decodes an offset the
+first time the PC lands on it, not before: most bytes of a page are
+operands, padding or code a run never reaches.  An offset whose bytes
+do not decode faults only when the PC actually lands there, exactly
+like the reference fetch.  :meth:`PageTable.entry` decodes an offset on
+demand for readers outside the dispatch loop.
 
 Windows wrap within the page like the hardware PC does (the same
 semantics as :meth:`repro.sim.memory.ProgramMemory.fetch_window`), and
-pages beyond the image decode as zero-filled ROM.  MMU page switches
+pages beyond the image read as zero-filled ROM.  MMU page switches
 become a table swap instead of any kind of cache flush.
 
-Tables are memoized per ISA instance (weakly) and per image, and the
-build/hit traffic is visible through the ``sim_predecode_*`` obs
-counters.
+Tables are memoized per ISA instance (weakly) and per image, so what
+one run decodes, later runs of the image reuse; the build/hit traffic
+is visible through the ``sim_predecode_*`` obs counters.
 """
 
 from collections import OrderedDict
@@ -52,9 +55,10 @@ class _DecodeFault(Exception):
 
 
 class PageTable:
-    """Dense decode table for one 128-byte page.
+    """Per-offset decode table for one 128-byte page, filled on first
+    fetch.
 
-    All attributes are 128-entry lists indexed by page-local PC:
+    All list attributes are 128-entry lists indexed by page-local PC:
 
     - ``fns`` / ``opss``: the spec's execute function and its operand
       tuple (an undecodable offset holds a closure raising
@@ -73,22 +77,83 @@ class PageTable:
     - ``decoded``: the full :class:`~repro.isa.model.DecodedInstruction`
       (``address`` is the page-local offset);
     - ``errors``: the decode-fault message for undecodable offsets.
+
+    Until the PC first lands on an offset, its ``fns`` entry is the
+    trampoline :meth:`_first_fetch` and its ``syncs`` entry is True: the
+    dispatch loop reads ``syncs`` before it calls the function, and the
+    trampoline cannot yet know whether the instruction writes the
+    output port.  An extra sync is exact (it stores the count the loop
+    already holds); a missing one would misstamp an output.
     """
 
     __slots__ = ("fns", "opss", "sizes", "falls", "branches",
-                 "specials", "syncs", "reads_iport", "decoded", "errors")
+                 "specials", "syncs", "reads_iport", "decoded", "errors",
+                 "_isa", "_wrapped", "_pc_mask", "_trampoline")
 
-    def __init__(self):
-        self.fns = [None] * PAGE_SIZE
+    def __init__(self, isa, page_bytes, pc_mask):
+        self._isa = isa
+        self._wrapped = page_bytes + page_bytes[:WINDOW_BYTES - 1]
+        self._pc_mask = pc_mask
+        self._trampoline = self._first_fetch
+        self.fns = [self._trampoline] * PAGE_SIZE
         self.opss = [()] * PAGE_SIZE
         self.sizes = [0] * PAGE_SIZE
         self.falls = [0] * PAGE_SIZE
         self.branches = [False] * PAGE_SIZE
         self.specials = [False] * PAGE_SIZE
-        self.syncs = [False] * PAGE_SIZE
+        self.syncs = [True] * PAGE_SIZE
         self.reads_iport = [False] * PAGE_SIZE
         self.decoded = [None] * PAGE_SIZE
         self.errors = [None] * PAGE_SIZE
+
+    def entry(self, offset):
+        """The :class:`~repro.isa.model.DecodedInstruction` at
+        ``offset`` (``None`` when its bytes do not decode; the message
+        is then in ``errors``), decoding the offset now if no fetch
+        has yet."""
+        if self.fns[offset] is self._trampoline:
+            self._fill(offset)
+        return self.decoded[offset]
+
+    def _first_fetch(self, state, operands):
+        """Every ``fns`` entry until the PC first lands on its offset."""
+        pc = state.pc
+        self._fill(pc)(state, self.opss[pc])
+
+    def _fill(self, offset):
+        """Decode ``offset`` into its entries; return its ``fns`` entry."""
+        window = self._wrapped[offset:offset + WINDOW_BYTES]
+        try:
+            decoded = self._isa.decode(window, 0)
+        except Exception as exc:  # DecodeError, truncation, ...
+            message = str(exc)
+            self.errors[offset] = message
+            fn = _fault_fn(message)
+        else:
+            # Re-anchor the decoded address at the page-local offset
+            # (decode ran against a window starting at 0).
+            decoded = type(decoded)(
+                spec=decoded.spec, operands=decoded.operands,
+                address=offset, raw=decoded.raw,
+            )
+            branch = decoded.spec.iclass is InstrClass.BRANCH
+            self.opss[offset] = decoded.operands
+            self.sizes[offset] = decoded.size
+            self.falls[offset] = (offset + decoded.size) & self._pc_mask
+            self.branches[offset] = branch
+            # ``halt`` is the only non-branch instruction that stops the
+            # machine; everything else needs no post-execute bookkeeping.
+            self.specials[offset] = branch or decoded.mnemonic == "halt"
+            self.syncs[offset] = _may_write_output(decoded)
+            self.reads_iport[offset] = _decodes_iport_read(decoded)
+            self.decoded[offset] = decoded
+            fn = decoded.spec.execute_fn
+        # ``fns`` last: it is what marks the offset decoded, so a thread
+        # sharing this table that reads the new function also reads the
+        # offset's other entries filled.  Threads racing on one offset
+        # both decode it and write the same values.
+        self.fns[offset] = fn
+        return fn
 
 
 class PredecodedProgram:
@@ -150,41 +215,6 @@ def _fault_fn(message):
     return raise_fault
 
 
-def _build_page(isa, page_bytes, pc_mask):
-    """Decode every offset of one page into a :class:`PageTable`."""
-    table = PageTable()
-    wrapped = page_bytes + page_bytes[:WINDOW_BYTES - 1]
-    for offset in range(PAGE_SIZE):
-        window = wrapped[offset:offset + WINDOW_BYTES]
-        try:
-            decoded = isa.decode(window, 0)
-        except Exception as exc:  # DecodeError, truncation, ...
-            message = str(exc)
-            table.errors[offset] = message
-            table.fns[offset] = _fault_fn(message)
-            continue
-        # Re-anchor the decoded address at the page-local offset (decode
-        # ran against a window starting at 0).
-        decoded = type(decoded)(
-            spec=decoded.spec, operands=decoded.operands,
-            address=offset, raw=decoded.raw,
-        )
-        table.fns[offset] = decoded.spec.execute_fn
-        table.opss[offset] = decoded.operands
-        table.sizes[offset] = decoded.size
-        table.falls[offset] = (offset + decoded.size) & pc_mask
-        table.branches[offset] = decoded.spec.iclass is InstrClass.BRANCH
-        # ``halt`` is the only non-branch instruction that stops the
-        # machine; everything else needs no post-execute bookkeeping.
-        table.specials[offset] = (
-            table.branches[offset] or decoded.mnemonic == "halt"
-        )
-        table.syncs[offset] = _may_write_output(decoded)
-        table.reads_iport[offset] = _decodes_iport_read(decoded)
-        table.decoded[offset] = decoded
-    return table
-
-
 # isa -> OrderedDict[image bytes -> PredecodedProgram]  (LRU per ISA)
 _CACHE = WeakKeyDictionary()
 # isa -> the shared zero-ROM PageTable
@@ -194,7 +224,7 @@ _ZERO_PAGES = WeakKeyDictionary()
 def _zero_page(isa):
     table = _ZERO_PAGES.get(isa)
     if table is None:
-        table = _build_page(isa, bytes(PAGE_SIZE), (1 << isa.pc_bits) - 1)
+        table = PageTable(isa, bytes(PAGE_SIZE), (1 << isa.pc_bits) - 1)
         _ZERO_PAGES[isa] = table
     return table
 
@@ -204,7 +234,8 @@ def predecode_image(isa, image):
 
     ``image`` is the flat program-memory image (any length up to the
     16-page address space); the table covers every page the MMU can
-    select, with out-of-image pages decoding as zero-filled ROM.
+    select, with out-of-image pages reading as zero-filled ROM.  Nothing
+    is decoded here: each offset decodes on its first fetch.
     """
     image = bytes(image)
     per_isa = _CACHE.get(isa)
@@ -231,7 +262,7 @@ def predecode_image(isa, image):
             pages.append(zero)
             continue
         blob = blob + bytes(PAGE_SIZE - len(blob))
-        pages.append(_build_page(isa, blob, pc_mask))
+        pages.append(PageTable(isa, blob, pc_mask))
     pages.extend([zero] * (MAX_PAGES - len(pages)))
 
     program = PredecodedProgram(isa, image, pages, image_pages)

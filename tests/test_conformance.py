@@ -280,7 +280,9 @@ def _corrupting_predecode(real):
         program = real(isa, image)
         for table in program.pages:
             for offset in range(len(table.fns)):
-                decoded = table.decoded[offset]
+                # Decode every offset now, so none is left for its
+                # first fetch to fill in unsabotaged.
+                decoded = table.entry(offset)
                 if decoded is None or table.branches[offset] \
                         or table.specials[offset]:
                     continue

@@ -7,7 +7,8 @@ must be byte-identical serially and on a two-worker pool, and ``repro
 yield`` must print the same table serially and with ``--jobs 2``.  The
 yield study and the DSE sweep are compared at three and four workers in
 ``tests/test_engine_consumers.py``.  The kill class SIGKILLs a real
-pool worker mid-batch.
+pool worker mid-batch, and runs a job that kills every pool worker it
+lands in.
 """
 
 import json
@@ -25,6 +26,15 @@ from repro.engine import Engine, Job, job_function
 from repro.fab.process import FC4_WAFER
 from repro.fab.yield_model import run_yield_study
 from repro.netlist.cores import build_flexicore4
+
+
+@job_function("exectest.pool_killer", version="1")
+def pool_killer_job(params, seed):
+    """Kill whichever pool worker runs it; in the engine's own process
+    (a serial run) return the value."""
+    if os.getpid() != params["parent_pid"]:
+        os._exit(1)
+    return params["value"]
 
 
 @job_function("exectest.sleepy", version="1")
@@ -148,8 +158,9 @@ def _await_pid(pid_dir, timeout=30.0):
 class TestPoolWorkerDeath:
     def test_killed_worker_batch_returns_serial_results(self, tmp_path):
         """SIGKILL one pool worker mid-batch: the pool breaks, the
-        engine degrades to serial, and the batch returns exactly what
-        a serial run returns."""
+        engine runs the lost jobs and the rest of the batch on a fresh
+        pool, and the batch returns exactly what a serial run
+        returns."""
         def batch(delay, pid_dir=None):
             return [Job(sleepy_job,
                         {"value": value, "delay": delay,
@@ -186,5 +197,26 @@ class TestPoolWorkerDeath:
 
         assert "error" not in outcome, outcome.get("error")
         assert outcome["results"] == serial
+        # Every job last ran in a pool worker, the killed one's too:
+        # none fell back to this process.
+        for value in range(6):
+            with open(os.path.join(pid_dir, f"{value}.pid")) as handle:
+                assert int(handle.read()) != os.getpid()
+        assert not engine.metrics.degraded
+        assert engine.metrics.worker_failures == 1
+
+    def test_pool_that_keeps_breaking_degrades_to_serial(self):
+        """A job that kills every pool worker it runs in breaks each
+        fresh pool: after ``_POOL_RESTARTS`` restarts the engine runs
+        the batch serially and still returns the serial results."""
+        from repro.engine.scheduler import _POOL_RESTARTS
+
+        jobs = [Job(pool_killer_job,
+                    {"value": value, "parent_pid": os.getpid()},
+                    label=f"killer{value}")
+                for value in range(4)]
+        with Engine(jobs=2) as engine:
+            results = engine.run(jobs)
+        assert results == Engine(jobs=1).run(jobs) == [0, 1, 2, 3]
         assert engine.metrics.degraded
-        assert engine.metrics.worker_failures >= 1
+        assert engine.metrics.worker_failures == _POOL_RESTARTS + 1

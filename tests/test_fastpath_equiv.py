@@ -7,12 +7,16 @@ architectural state, even decode-fault messages -- must match between
 :meth:`Simulator.step` reference) on every ISA.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.asm import assemble
 from repro.fab.testing import directed_program, random_program
 from repro.isa import get_isa
+from repro.kernels import calculator
 from repro.kernels.kernel import Target
 from repro.kernels.suite import SUITE
 from repro.sim import (
@@ -24,6 +28,7 @@ from repro.sim import (
     resolve_dispatch,
     run_program,
 )
+from repro.sim.memory import PAGE_SIZE, ProgramMemory
 from repro.sim.predecode import _IPORT_ADDR
 
 ISA_NAMES = ("flexicore4", "flexicore8", "extacc", "loadstore")
@@ -281,10 +286,11 @@ class TestPredecodeTables:
         padded = image + bytes(4)
         for offset in range(min(len(image), 125)):
             decoded = isa.decode(padded, offset)
-            assert table.decoded[offset] is not None
-            assert table.decoded[offset].mnemonic == decoded.mnemonic
-            assert table.decoded[offset].operands == decoded.operands
-            assert table.decoded[offset].address == offset
+            entry = table.entry(offset)
+            assert entry is not None
+            assert entry.mnemonic == decoded.mnemonic
+            assert entry.operands == decoded.operands
+            assert entry.address == offset
             assert table.sizes[offset] == decoded.size
 
     def test_iport_flag_matches_replay_predicate(self):
@@ -294,11 +300,133 @@ class TestPredecodeTables:
         isa = get_isa("flexicore4")
         image = assemble("load 0\nstore 1\nstore 0\nadd 0\n", isa).image()
         table = predecode_image(isa, image).page(0)
+        for offset in range(4):
+            table.entry(offset)
         # load 0 reads the port; store-to-0 does not; add 0 does.
         assert table.reads_iport[0] is True
         assert table.reads_iport[1] is False
         assert table.reads_iport[2] is False
         assert table.reads_iport[3] is True
+
+
+def run_image(image, isa, inputs, fastpath):
+    result, sink = run_program(image, isa=isa, inputs=list(inputs),
+                               fastpath=fastpath)
+    return result.stats, result.reason, sink.values, sink.cycles
+
+
+def count_decodes(monkeypatch, isa):
+    """Record the offset of every ``isa.decode`` call from now on."""
+    calls = []
+    real = isa.decode
+
+    def counting(code, offset=0):
+        calls.append(offset)
+        return real(code, offset)
+
+    monkeypatch.setattr(isa, "decode", counting)
+    return calls
+
+
+class TestFirstFetchDecode:
+    """An offset is decoded when the PC first lands on it, and never
+    before; tables filled by one run, or by threads at once, still give
+    the reference's results."""
+
+    def calculator_image(self):
+        target = Target.named("flexicore4")
+        image = calculator.KERNEL.binary(target).image
+        assert len(image) > 2 * PAGE_SIZE  # three pages, MMU switches
+        return target.isa, image
+
+    def test_decodes_exactly_the_fetched_offsets(self, monkeypatch):
+        isa, image = self.calculator_image()
+        inputs = calculator.KERNEL.generate_inputs(
+            np.random.default_rng(2022), 12)
+        fetched = set()
+        real_fetch = ProgramMemory.fetch_window
+
+        def recording_fetch(memory, pc):
+            base, window = real_fetch(memory, pc)
+            fetched.add(base)  # page * PAGE_SIZE + pc
+            return base, window
+
+        monkeypatch.setattr(ProgramMemory, "fetch_window", recording_fetch)
+        reference = run_image(image, isa, inputs, fastpath=False)
+        monkeypatch.setattr(ProgramMemory, "fetch_window", real_fetch)
+        assert {base // PAGE_SIZE for base in fetched} == {0, 1, 2}
+
+        clear_predecode_cache()
+        calls = count_decodes(monkeypatch, isa)
+        assert run_image(image, isa, inputs, fastpath=True) == reference
+        assert len(calls) == len(fetched)
+
+    def test_later_run_fills_offsets_an_earlier_run_left(
+            self, monkeypatch):
+        isa, image = self.calculator_image()
+        first = [calculator.OP_ADD, 7, 8, calculator.OP_SUB, 4, 9]
+        second = [calculator.OP_MUL, 15, 15, calculator.OP_DIV, 13, 4]
+        references = [run_image(image, isa, inputs, fastpath=False)
+                      for inputs in (first, second)]
+
+        clear_predecode_cache()
+        division_page = predecode_image(isa, image).pages[2]
+        calls = count_decodes(monkeypatch, isa)
+        assert run_image(image, isa, first, fastpath=True) == references[0]
+        assert division_page.decoded.count(None) == PAGE_SIZE
+        decoded_first = len(calls)
+        # Multiplication and division live on pages the first run
+        # never entered: the second run decodes them into the same
+        # tables.
+        assert run_image(image, isa, second, fastpath=True) == \
+            references[1]
+        assert len(calls) > decoded_first
+        assert division_page.decoded.count(None) < PAGE_SIZE
+
+    @pytest.mark.parametrize("kernel", SUITE, ids=lambda k: k.name)
+    def test_threads_share_a_fresh_table(self, kernel):
+        """The service runs jobs on threads that share tables: four
+        threads filling one fresh image's tables at once, switching as
+        often as the interpreter allows, each match the reference.
+
+        A race shows in some rounds only: a table that marked an offset
+        decoded before filling its entries failed 2 to 6 of 20 rounds
+        per kernel.  So each kernel runs twenty fresh rounds."""
+        target = Target.named("flexicore4")
+        image = kernel.binary(target).image
+        inputs = kernel.generate_inputs(np.random.default_rng(5), 8)
+        reference = run_image(image, target.isa, inputs, fastpath=False)
+
+        def run(index, barrier, outcomes):
+            barrier.wait()
+            try:
+                outcomes[index] = run_image(image, target.isa, inputs,
+                                            fastpath=True)
+            except Exception as exc:  # compared below
+                outcomes[index] = exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                clear_predecode_cache()
+                program = predecode_image(target.isa, image)
+                barrier = threading.Barrier(4, timeout=60.0)
+                outcomes = [None] * 4
+                threads = [
+                    threading.Thread(target=run,
+                                     args=(index, barrier, outcomes))
+                    for index in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                    assert not thread.is_alive(), "a run hung"
+                assert predecode_image(target.isa, image) is program
+                assert outcomes == [reference] * 4
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestCrossCheckFastpath:
