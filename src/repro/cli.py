@@ -38,6 +38,44 @@ import sys
 
 import numpy as np
 
+from repro.params import CONFORMANCE, DSE_SEARCH, SEED, Field, ValidationError
+
+
+class _FieldFlag(argparse.Action):
+    """A flag declared by a :class:`~repro.params.Field`: the field reads
+    and checks its value, and a bad one exits 2 with one line."""
+
+    def __init__(self, option_strings, dest, field, **kwargs):
+        kwargs.setdefault("default", field.default)
+        shown = field.default
+        if isinstance(shown, list):  # a list flag is a comma list
+            shown = ",".join(map(str, shown)) or None
+        kwargs.setdefault("help", field.doc + (
+            "" if shown is None else f" (default {shown})"))
+        super().__init__(option_strings, dest, **kwargs)
+        self.field = field
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        try:
+            setattr(namespace, self.dest, self.field.parse(self.dest, text))
+        except ValidationError as exc:
+            parser.exit(2, f"{parser.prog}: error: argument "
+                           f"{option_string}: {exc}\n")
+
+
+def _flag(parser, field, *flags, **kwargs):
+    parser.add_argument(*flags, action=_FieldFlag, field=field, **kwargs)
+
+
+def _study_flags(parser, schema):
+    """One ``--name`` flag per parameter of a study's schema."""
+    for name, field in schema.items():
+        _flag(parser, field, f"--{name}")
+
+
+_WORKERS = Field(int, default=1, minimum=1,
+                 doc="worker processes for experiment jobs; 1 = serial")
+
 
 def _add_isa_argument(parser, default="flexicore4"):
     parser.add_argument(
@@ -47,31 +85,9 @@ def _add_isa_argument(parser, default="flexicore4"):
     )
 
 
-def _int_at_least(minimum, kind):
-    """An argparse ``type``: an integer >= ``minimum``, else exit 2."""
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"must be a {kind} integer, got {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be a {kind} integer, got {value}")
-        return value
-    return parse
-
-
-_positive_int = _int_at_least(1, "positive")
-_non_negative_int = _int_at_least(0, "non-negative")
-
-
 def _add_engine_arguments(parser):
     group = parser.add_argument_group("execution engine")
-    group.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N",
-        help="worker processes for experiment jobs (default: 1, serial)",
-    )
+    _flag(group, _WORKERS, "--jobs", metavar="N")
     group.add_argument(
         "--no-cache", action="store_true",
         help="skip the on-disk result cache (.repro-cache or "
@@ -293,41 +309,19 @@ def cmd_dse(args):
 
 
 def cmd_dse_search(args):
-    from repro.dse.search import SearchConfig, format_search_frontier, search
-    from repro.dse.space import DesignSpace
+    from repro.dse.search import run_dse_search
 
     engine = _configure_engine(args)
-    space_kwargs = {}
-    if args.features is not None:
-        space_kwargs["features"] = tuple(
-            token for token in args.features.split(",") if token
-        )
-    if args.microarchs is not None:
-        space_kwargs["microarchs"] = tuple(
-            token.upper() for token in args.microarchs.split(",") if token
-        )
-    if args.models is not None:
-        space_kwargs["operand_models"] = tuple(
-            token for token in args.models.split(",") if token
-        )
-    if args.bus is not None:
-        space_kwargs["bus_bits"] = tuple(
-            int(token) for token in args.bus.split(",") if token
-        )
-    config = SearchConfig(
-        budget=args.budget,
-        seed=args.seed,
-        objectives=tuple(args.objectives.split(",")),
-        population=args.population,
-        space=DesignSpace(**space_kwargs),
-    )
-    result = search(config, engine=engine)
+    result, frontier, trail = run_dse_search(
+        {name: getattr(args, name) for name in DSE_SEARCH}, engine)
+    config = result.config
     print(f"Adaptive DSE search (budget {config.budget}, "
           f"seed {config.seed}, objectives "
           f"{'/'.join(config.objectives)})")
-    print(format_search_frontier(result))
+    print(frontier)
     if args.trail:
-        result.write_trail(args.trail)
+        with open(args.trail, "w") as handle:
+            handle.write(trail)
         print(f"trail: {args.trail} ({len(result.trail)} evaluations)",
               file=sys.stderr)
     if args.engine_verbose:
@@ -632,42 +626,14 @@ def cmd_conform(args):
 
     # action == "run": a fresh cacheless engine -- every campaign must
     # execute its cases, never replay a previous campaign's results.
-    engine = Engine(jobs=args.jobs, cache=None)
-    oracles = args.oracles.split(",") if args.oracles else None
-    targets = args.targets.split(",") if args.targets else None
-    try:
-        summary = conformance.run_campaign(
-            args.seed, args.budget, oracle_names=oracles,
-            targets=targets, engine=engine,
-            shrink_budget=args.shrink_budget,
-            state_root=args.state_dir,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"conformance campaign: seed {args.seed}, "
-          f"budget {args.budget}, {summary['cases']} cases in "
-          f"{summary['elapsed_s']:.1f} s")
-    print(f"{'oracle':<10} {'target':<14} {'cases':>6} {'diverged':>9}")
-    for item in summary["slices"]:
-        print(f"{item['oracle']:<10} {item['target']:<14} "
-              f"{item['cases']:6d} {item['divergences']:9d}")
-    if not summary["divergences"]:
-        print("no divergences: all redundant paths agree")
-        return 0
-    print()
-    print(f"{len(summary['divergences'])} divergence(s):")
-    for entry in summary["divergences"]:
-        divergence = entry["divergence"]
-        shrink = entry.get("shrink") or {}
-        print(f"  {entry['id']}: {divergence['oracle']} on "
-              f"{divergence['target']} at {divergence['field']}")
-        print(f"    {divergence['detail'][:200]}")
-        print(f"    shrunk {shrink.get('original_size', '?')} -> "
-              f"{shrink.get('shrunk_size', '?')} items; saved to "
-              f"{entry.get('_path', '(not persisted)')}")
-    print("replay with 'repro conform replay <id>'")
-    return 1
+    summary = conformance.run_campaign(
+        args.seed, args.budget, oracle_names=args.oracles or None,
+        targets=args.targets.split(",") if args.targets else None,
+        engine=Engine(jobs=args.jobs, cache=None),
+        shrink_budget=args.shrink_budget, state_root=args.state_dir,
+    )
+    print(conformance.format_campaign(summary, args.seed, args.budget))
+    return 1 if summary["divergences"] else 0
 
 
 def cmd_serve(args):
@@ -694,18 +660,40 @@ def cmd_serve(args):
     return 0
 
 
-def _client_connection(args):
-    import os
+def _add_service_arguments(parser, timeout):
+    """Where ``client`` and ``top`` find the service."""
+    parser.add_argument("--url", default=None,
+                        help="service URL (default: $REPRO_SERVICE_URL "
+                             "or http://127.0.0.1:8321)")
+    parser.add_argument("--key", default=None,
+                        help="API key (default: $REPRO_SERVICE_KEY or "
+                             "the dev key)")
+    _flag(parser, Field(float, default=timeout,
+                        doc="request/wait timeout in seconds"), "--timeout")
 
-    from repro.service import ServiceClient
 
-    url = args.url or os.environ.get(
-        "REPRO_SERVICE_URL", "http://127.0.0.1:8321"
-    )
-    key = args.key or os.environ.get(
-        "REPRO_SERVICE_KEY", "dev-local-key"
-    )
-    return ServiceClient(url, key, timeout=args.timeout)
+def _service_command(command):
+    """``command(args, client)`` against the service ``args`` names; a
+    service error or a refused connection exits 1 with one line."""
+    def run(args):
+        from repro.service import ServiceApiError, ServiceClient
+
+        client = ServiceClient(
+            args.url or os.environ.get("REPRO_SERVICE_URL",
+                                       "http://127.0.0.1:8321"),
+            args.key or os.environ.get("REPRO_SERVICE_KEY",
+                                       "dev-local-key"),
+            timeout=args.timeout,
+        )
+        try:
+            return command(args, client)
+        except ServiceApiError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+        except ConnectionRefusedError:
+            print(f"error: no service at {client.host}:{client.port} "
+                  "(start one with 'repro serve')", file=sys.stderr)
+        return 1
+    return run
 
 
 def _parse_client_params(pairs):
@@ -726,123 +714,103 @@ def _parse_client_params(pairs):
     return params
 
 
-def cmd_client(args):
+@_service_command
+def cmd_client(args, client):
     import json as json_module
 
-    from repro.service import ServiceApiError
-
-    client = _client_connection(args)
     action = args.client_action
-    try:
-        if action == "types":
-            for name, doc in client.types().items():
-                print(f"{name}: {doc['description']}")
-                for pname, spec in doc["params"].items():
-                    extra = []
-                    if spec.get("required"):
-                        extra.append("required")
-                    if "default" in spec:
-                        extra.append(f"default {spec['default']!r}")
-                    if "choices" in spec:
-                        extra.append(
-                            "one of " + ", ".join(
-                                map(str, spec["choices"])
-                            )
+    if action == "types":
+        for name, doc in client.types().items():
+            print(f"{name}: {doc['description']}")
+            for pname, spec in doc["params"].items():
+                extra = []
+                if spec.get("required"):
+                    extra.append("required")
+                if "default" in spec:
+                    extra.append(f"default {spec['default']!r}")
+                if "choices" in spec:
+                    extra.append(
+                        "one of " + ", ".join(
+                            map(str, spec["choices"])
                         )
-                    print(f"  {pname} ({spec['type']}"
-                          + ("; " + "; ".join(extra) if extra else "")
-                          + ")")
-            return 0
-        if action == "submit":
-            params = _parse_client_params(args.param)
-            document = client.submit(
-                args.type, params,
-                traceparent=getattr(args, "traceparent", None),
+                    )
+                print(f"  {pname} ({spec['type']}"
+                      + ("; " + "; ".join(extra) if extra else "")
+                      + ")")
+        return 0
+    if action == "submit":
+        params = _parse_client_params(args.param)
+        document = client.submit(
+            args.type, params,
+            traceparent=getattr(args, "traceparent", None),
+        )
+        if args.wait:
+            document = client.wait(
+                document["id"], timeout=args.timeout
             )
-            if args.wait:
-                document = client.wait(
-                    document["id"], timeout=args.timeout
-                )
-            print(json_module.dumps(document, indent=2))
-            return 0 if document["status"] in ("queued", "running",
-                                              "completed") else 1
-        if action == "status":
-            print(json_module.dumps(client.status(args.job), indent=2))
+        print(json_module.dumps(document, indent=2))
+        return 0 if document["status"] in ("queued", "running",
+                                          "completed") else 1
+    if action == "status":
+        print(json_module.dumps(client.status(args.job), indent=2))
+        return 0
+    if action == "watch":
+        final = None
+        for event in client.events(args.job, since=args.since):
+            print(json_module.dumps(event), flush=True)
+            if event["event"] in ("completed", "failed",
+                                  "cancelled"):
+                final = event["event"]
+        return 0 if final in (None, "completed") else 1
+    if action == "cancel":
+        print(json_module.dumps(client.cancel(args.job), indent=2))
+        return 0
+    if action == "artifact":
+        data = client.artifact(args.digest)
+        if args.output:
+            with open(args.output, "wb") as handle:
+                handle.write(data)
+            print(f"wrote {len(data)} bytes to {args.output}")
+        else:
+            sys.stdout.write(data.decode("utf-8", "replace"))
+        return 0
+    if action == "jobs":
+        for doc in client.jobs():
+            print(f"{doc['id']}  {doc['type']:<14} "
+                  f"{doc['status']:<10} "
+                  f"cache_hit={str(doc['cache_hit']).lower()}")
+        return 0
+    if action == "trace":
+        if args.chrome:
+            print(json_module.dumps(
+                client.trace(args.job, format="chrome"), indent=2
+            ))
             return 0
-        if action == "watch":
-            final = None
-            for event in client.events(args.job, since=args.since):
-                print(json_module.dumps(event), flush=True)
-                if event["event"] in ("completed", "failed",
-                                      "cancelled"):
-                    final = event["event"]
-            return 0 if final in (None, "completed") else 1
-        if action == "cancel":
-            print(json_module.dumps(client.cancel(args.job), indent=2))
-            return 0
-        if action == "artifact":
-            data = client.artifact(args.digest)
-            if args.output:
-                with open(args.output, "wb") as handle:
-                    handle.write(data)
-                print(f"wrote {len(data)} bytes to {args.output}")
-            else:
-                sys.stdout.write(data.decode("utf-8", "replace"))
-            return 0
-        if action == "jobs":
-            for doc in client.jobs():
-                print(f"{doc['id']}  {doc['type']:<14} "
-                      f"{doc['status']:<10} "
-                      f"cache_hit={str(doc['cache_hit']).lower()}")
-            return 0
-        if action == "trace":
-            if args.chrome:
-                print(json_module.dumps(
-                    client.trace(args.job, format="chrome"), indent=2
-                ))
-                return 0
-            document = client.trace(args.job)
-            print(f"trace {document['trace_id']} "
-                  f"(job {document['job']}, {document['status']}, "
-                  f"{document['span_count']} span(s))")
-            print(document["tree"])
-            return 0
-        if action == "slo":
-            print(json_module.dumps(client.slo(), indent=2))
-            return 0
-        print(f"unknown client action '{action}'", file=sys.stderr)
-        return 2
-    except ServiceApiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConnectionRefusedError:
-        print(f"error: no service at {client.host}:{client.port} "
-              "(start one with 'repro serve')", file=sys.stderr)
-        return 1
+        document = client.trace(args.job)
+        print(f"trace {document['trace_id']} "
+              f"(job {document['job']}, {document['status']}, "
+              f"{document['span_count']} span(s))")
+        print(document["tree"])
+        return 0
+    if action == "slo":
+        print(json_module.dumps(client.slo(), indent=2))
+        return 0
+    print(f"unknown client action '{action}'", file=sys.stderr)
+    return 2
 
-
-def cmd_top(args):
-    from repro.service import ServiceApiError
+@_service_command
+def cmd_top(args, client):
     from repro.service.top import run_top
 
-    client = _client_connection(args)
     count = 1 if args.once else args.count
     try:
         run_top(
             client, interval_s=args.interval, count=count,
             clear=not args.once and count != 1,
         )
-        return 0
     except KeyboardInterrupt:
         print()  # leave the last frame visible
-        return 0
-    except ServiceApiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConnectionRefusedError:
-        print(f"error: no service at {client.host}:{client.port} "
-              "(start one with 'repro serve')", file=sys.stderr)
-        return 1
+    return 0
 
 
 def build_parser():
@@ -866,24 +834,26 @@ def build_parser():
     p = sub.add_parser("run", help="assemble and simulate a program")
     p.add_argument("source")
     p.add_argument("--inputs", help="comma-separated IPORT samples")
-    p.add_argument("--max-cycles", type=int, default=100_000)
+    _flag(p, Field(int, default=100_000, minimum=1,
+                   doc="stop after this many cycles"), "--max-cycles")
     _add_isa_argument(p)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("kernels", help="run the benchmark suite")
-    p.add_argument("--transactions", type=_positive_int, default=10)
-    p.add_argument("--seed", type=int, default=2022)
+    _flag(p, Field(int, default=10, minimum=1,
+                   doc="input transactions per kernel"), "--transactions")
+    _flag(p, SEED, "--seed")
     _add_isa_argument(p)
     p.set_defaults(fn=cmd_kernels)
 
     p = sub.add_parser("yield", help="wafer-yield Monte Carlo (Table 5)")
-    p.add_argument("--wafers", type=_positive_int, default=6,
-                   help="wafers per core in the Monte Carlo (default 6)")
-    p.add_argument("--seed", type=int, default=2022)
-    p.add_argument("--fault-check", type=_non_negative_int, default=0,
-                   metavar="N",
-                   help="also inject N stuck-at faults per core and "
-                        "report how many the probe vectors detect")
+    _flag(p, Field(int, default=6, minimum=1,
+                   doc="wafers per core in the Monte Carlo"), "--wafers")
+    _flag(p, SEED, "--seed")
+    _flag(p, Field(int, default=0, minimum=0,
+                   doc="also inject N stuck-at faults per core and report "
+                       "how many the probe vectors detect"),
+          "--fault-check", metavar="N")
     p.add_argument("--gate-level", action="store_true",
                    help="recompute Table 5 by gate-level simulation of "
                         "every fabricated die (one cross-check lane "
@@ -901,40 +871,7 @@ def build_parser():
         "search",
         help="adaptive multi-objective search over the parametric space",
     )
-    d.add_argument(
-        "--budget", type=_positive_int, default=48, metavar="N",
-        help="scoring-job budget, any fidelity (default 48)",
-    )
-    d.add_argument(
-        "--seed", type=int, default=2022,
-        help="search + scoring seed; fixed (budget, seed) is "
-             "deterministic (default 2022)",
-    )
-    d.add_argument(
-        "--objectives", default="area,cost,energy",
-        help="comma-separated lower-is-better objectives from "
-             "area/cost/energy/code (default area,cost,energy)",
-    )
-    d.add_argument(
-        "--population", type=_positive_int, default=16, metavar="N",
-        help="NSGA-II population size (default 16)",
-    )
-    d.add_argument(
-        "--features", default=None, metavar="F1,F2",
-        help="restrict the feature-gate axis (default: all gates)",
-    )
-    d.add_argument(
-        "--microarchs", default=None, metavar="SC,P,MC",
-        help="restrict the microarchitecture axis (default: SC,P,MC)",
-    )
-    d.add_argument(
-        "--models", default=None, metavar="acc,ls",
-        help="restrict the operand-model axis (default: acc,ls)",
-    )
-    d.add_argument(
-        "--bus", default=None, metavar="0,8",
-        help="program-bus widths to search; 0 = natural (default: 0,8)",
-    )
+    _study_flags(d, DSE_SEARCH)
     d.add_argument(
         "--trail", default=None, metavar="PATH",
         help="write the per-evaluation JSONL trail here",
@@ -974,8 +911,10 @@ def build_parser():
     p = sub.add_parser("trace", help="trace a program's execution")
     p.add_argument("source")
     p.add_argument("--inputs", help="comma-separated IPORT samples")
-    p.add_argument("--max-cycles", type=int, default=200)
-    p.add_argument("--limit", type=int, default=100)
+    _flag(p, Field(int, default=200, minimum=1,
+                   doc="stop after this many cycles"), "--max-cycles")
+    _flag(p, Field(int, default=100, minimum=1,
+                   doc="instructions to trace"), "--limit")
     _add_isa_argument(p)
     p.set_defaults(fn=cmd_trace)
 
@@ -1029,9 +968,9 @@ def build_parser():
     p.add_argument("--format", default="prometheus",
                    choices=("prometheus", "jsonl", "chrome"),
                    help="export format (default: prometheus)")
-    p.add_argument("-n", "--lines", type=_positive_int, default=20,
-                   help="log records to show with 'tail', or flight "
-                        "records with 'flight show' (default 20)")
+    _flag(p, Field(int, default=20, minimum=1,
+                   doc="log records to show with 'tail', or flight "
+                       "records with 'flight show'"), "-n", "--lines")
     p.add_argument("--state-dir", default=None,
                    help="state directory (default: .repro-state or "
                         "$REPRO_STATE_DIR)")
@@ -1046,23 +985,14 @@ def build_parser():
     c = csub.add_parser(
         "run", help="run a conformance campaign across the oracles"
     )
-    c.add_argument("--seed", type=int, default=0,
-                   help="campaign seed (default 0)")
-    c.add_argument("--budget", type=_positive_int, default=200,
-                   help="case budget per oracle, scaled by oracle cost "
-                        "(default 200)")
-    c.add_argument("--oracles", default=None,
-                   help="comma list of oracles to run (default: all of "
-                        "dispatch, backend, vector, cache, fab, asm)")
+    _study_flags(c, CONFORMANCE)
     c.add_argument("--targets", default=None,
                    help="comma list of targets (default: flexicore4, "
                         "flexicore8, flexicore4plus where applicable)")
-    c.add_argument("--shrink-budget", type=_positive_int, default=256,
-                   help="oracle re-executions allowed per shrink "
-                        "(default 256)")
-    c.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                   help="worker processes for campaign slices "
-                        "(default 1)")
+    _flag(c, Field(int, default=256, minimum=1,
+                   doc="oracle re-executions allowed per shrink"),
+          "--shrink-budget")
+    _flag(c, _WORKERS, "--jobs", metavar="N")
     c.add_argument("--state-dir", default=None,
                    help="state directory for the failure corpus "
                         "(default: .repro-state or $REPRO_STATE_DIR)")
@@ -1092,43 +1022,33 @@ def build_parser():
     )
     p.add_argument("--host", default="127.0.0.1",
                    help="bind address (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=8321,
-                   help="bind port (default 8321; 0 = ephemeral)")
+    _flag(p, Field(int, default=8321, minimum=0, maximum=65535,
+                   doc="bind port; 0 = ephemeral"), "--port")
     p.add_argument("--tenants", default=None, metavar="FILE",
                    help="tenant config JSON ({'tenants': [{'name', "
                         "'key', 'rate', 'burst', 'max_active'}]}); "
                         "default: a single 'dev' tenant with key "
                         "'dev-local-key'")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   metavar="N",
-                   help="engine worker processes per job (default 1)")
-    p.add_argument("--max-running", type=_positive_int, default=2,
-                   metavar="N",
-                   help="jobs running concurrently (default 2)")
-    p.add_argument("--max-queued", type=_non_negative_int, default=8,
-                   metavar="N",
-                   help="queued jobs beyond the running set before "
-                        "429 backpressure (default 8)")
+    _flag(p, _WORKERS, "--jobs", metavar="N",
+          help="engine worker processes per job (default 1)")
+    _flag(p, Field(int, default=2, minimum=1,
+                   doc="jobs running concurrently"),
+          "--max-running", metavar="N")
+    _flag(p, Field(int, default=8, minimum=0,
+                   doc="queued jobs beyond the running set before 429 "
+                       "backpressure"), "--max-queued", metavar="N")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="shared result-cache directory (default: "
                         ".repro-cache or $REPRO_CACHE_DIR)")
-    p.add_argument("--drain-grace", type=float, default=30.0,
-                   metavar="S",
-                   help="seconds a SIGTERM drain waits for in-flight "
-                        "jobs (default 30)")
+    _flag(p, Field(float, default=30.0,
+                   doc="seconds a SIGTERM drain waits for in-flight jobs"),
+          "--drain-grace", metavar="S")
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser(
         "client", help="talk to a running repro service"
     )
-    p.add_argument("--url", default=None,
-                   help="service URL (default: $REPRO_SERVICE_URL or "
-                        "http://127.0.0.1:8321)")
-    p.add_argument("--key", default=None,
-                   help="API key (default: $REPRO_SERVICE_KEY or the "
-                        "dev key)")
-    p.add_argument("--timeout", type=float, default=300.0,
-                   help="request/wait timeout in seconds (default 300)")
+    _add_service_arguments(p, timeout=300.0)
     ksub = p.add_subparsers(dest="client_action", required=True)
 
     k = ksub.add_parser("types", help="list job types and schemas")
@@ -1154,8 +1074,8 @@ def build_parser():
     k = ksub.add_parser("watch",
                         help="stream a job's progress events (NDJSON)")
     k.add_argument("job", help="job id")
-    k.add_argument("--since", type=int, default=0,
-                   help="first event sequence number (default 0)")
+    _flag(k, Field(int, default=0, doc="first event sequence number"),
+          "--since")
     k.set_defaults(fn=cmd_client)
 
     k = ksub.add_parser("cancel", help="request job cancellation")
@@ -1186,19 +1106,12 @@ def build_parser():
         "top",
         help="live terminal dashboard over /v1/stats + /v1/slo",
     )
-    p.add_argument("--url", default=None,
-                   help="service URL (default: $REPRO_SERVICE_URL or "
-                        "http://127.0.0.1:8321)")
-    p.add_argument("--key", default=None,
-                   help="API key (default: $REPRO_SERVICE_KEY or the "
-                        "dev key)")
-    p.add_argument("--timeout", type=float, default=30.0,
-                   help="request timeout in seconds (default 30)")
-    p.add_argument("--interval", type=float, default=2.0, metavar="S",
-                   help="seconds between frames (default 2)")
-    p.add_argument("--count", type=_positive_int, default=None,
-                   metavar="N",
-                   help="render N frames then exit (default: forever)")
+    _add_service_arguments(p, timeout=30.0)
+    _flag(p, Field(float, default=2.0, doc="seconds between frames"),
+          "--interval", metavar="S")
+    _flag(p, Field(int, minimum=1,
+                   doc="render N frames then exit (default: forever)"),
+          "--count", metavar="N")
     p.add_argument("--once", action="store_true",
                    help="render a single frame without clearing the "
                         "screen (same as --count 1)")

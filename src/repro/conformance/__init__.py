@@ -36,6 +36,7 @@ from repro.conformance.oracles import (
 )
 from repro.conformance.runner import (
     evaluate_case,
+    format_campaign,
     plan_campaign,
     replay_entry,
     run_campaign,
@@ -61,6 +62,7 @@ __all__ = [
     "entry_case",
     "evaluate_case",
     "first_difference",
+    "format_campaign",
     "get_oracle",
     "instruction_count",
     "list_entries",

@@ -182,6 +182,36 @@ def run_campaign(seed, budget, oracle_names=None, targets=None,
     }
 
 
+def format_campaign(summary, seed, budget):
+    """The campaign report: what ``repro conform run`` prints and the
+    ``conformance`` job serves as ``conformance.txt``."""
+    lines = [
+        f"conformance campaign: seed {seed}, budget {budget}, "
+        f"{summary['cases']} cases in {summary['elapsed_s']:.1f} s",
+        f"{'oracle':<10} {'target':<14} {'cases':>6} {'diverged':>9}",
+    ]
+    lines += [f"{item['oracle']:<10} {item['target']:<14} "
+              f"{item['cases']:6d} {item['divergences']:9d}"
+              for item in summary["slices"]]
+    if not summary["divergences"]:
+        lines.append("no divergences: all redundant paths agree")
+        return "\n".join(lines)
+    lines += ["", f"{len(summary['divergences'])} divergence(s):"]
+    for entry in summary["divergences"]:
+        divergence = entry["divergence"]
+        shrink = entry.get("shrink") or {}
+        lines += [
+            f"  {entry['id']}: {divergence['oracle']} on "
+            f"{divergence['target']} at {divergence['field']}",
+            f"    {divergence['detail'][:200]}",
+            f"    shrunk {shrink.get('original_size', '?')} -> "
+            f"{shrink.get('shrunk_size', '?')} items; saved to "
+            f"{entry.get('_path', '(not persisted)')}",
+        ]
+    lines.append("replay with 'repro conform replay <id>'")
+    return "\n".join(lines)
+
+
 def replay_entry(entry):
     """Re-execute a corpus entry's case; returns a Divergence or None."""
     case = corpus_store.entry_case(entry)

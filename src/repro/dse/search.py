@@ -292,11 +292,10 @@ class SearchResult:
     def frontier_names(self):
         return [entry.key for entry in self.frontier]
 
-    def write_trail(self, path):
-        """Append-free JSONL trail: one line per evaluation, in order."""
-        with open(path, "w") as handle:
-            for record in self.trail:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+    def trail_jsonl(self):
+        """The trail as JSON lines: one per evaluation, in order."""
+        return "".join(json.dumps(record, sort_keys=True) + "\n"
+                       for record in self.trail)
 
     def to_doc(self):
         """JSON-ready summary (the service result document)."""
@@ -595,6 +594,27 @@ def frontier_of(scores, objectives=DEFAULT_OBJECTIVES):
         if scores[keys[i]]["feasible"]
     ]
     return sorted(frontier)
+
+
+#: The :class:`DesignSpace` axis each axis parameter of
+#: :data:`repro.params.DSE_SEARCH` restricts.
+_AXES = {"features": "features", "microarchs": "microarchs",
+         "models": "operand_models", "bus": "bus_bits"}
+
+
+def run_dse_search(params, engine=None):
+    """One search from validated :data:`repro.params.DSE_SEARCH` params
+    (``repro dse search`` and the ``dse_search`` job); returns
+    ``(SearchResult, frontier table, JSONL trail)``.  An empty list
+    means the default: the whole axis, or the default objectives."""
+    space = DesignSpace(**{axis: tuple(params[name])
+                           for name, axis in _AXES.items() if params[name]})
+    result = search(SearchConfig(
+        budget=params["budget"], seed=params["seed"],
+        objectives=tuple(params["objectives"]) or DEFAULT_OBJECTIVES,
+        population=params["population"], space=space,
+    ), engine=engine)
+    return result, format_search_frontier(result), result.trail_jsonl()
 
 
 def format_search_frontier(result):

@@ -594,6 +594,11 @@ class Engine:
     def _degrade(self, reason):
         self.metrics.degraded = True
         self.hooks.emit("degraded", {"reason": reason})
+        try:
+            from repro.obs import flight
+            flight.dump("engine_degraded", context={"reason": reason})
+        except Exception:  # diagnostics must not fail the run
+            pass
 
 
 def _keyed_node(index, job, deps):

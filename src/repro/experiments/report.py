@@ -1,9 +1,8 @@
 """EXPERIMENTS.md generation: every table and figure, paper vs measured."""
 
-import io
-from contextlib import redirect_stdout
+import sys
 
-from repro.experiments import figures, paper_data, tables
+from repro.experiments import figures, tables
 
 
 def _section(title, body):
@@ -12,8 +11,6 @@ def _section(title, body):
 
 def headline_summary():
     """The paper's headline claims vs this reproduction's measurements."""
-    from repro.dse.evaluate import evaluate_all
-
     lines = []
     t5 = tables.table5()
     lines.append(
@@ -136,6 +133,38 @@ Known deviations from the paper (and why):
   pull-up count."""
 
 
+_THIS = sys.modules[__name__]
+
+#: EXPERIMENTS.md's sections in order: (experiment name, section title,
+#: module, formatter name).  ``repro experiments <name>`` prints one.
+#: :func:`generate` looks each formatter up when it runs, so a wrapped
+#: ``format_*`` function is the one that runs.
+SECTIONS = (
+    ("table1", "Table 1", tables, "format_table1"),
+    ("table2", "Table 2", tables, "format_table2"),
+    ("table3", "Table 3", tables, "format_table3"),
+    ("table4", "Table 4", tables, "format_table4"),
+    ("table5", "Table 5", tables, "format_table5"),
+    ("table6", "Table 6", tables, "format_table6"),
+    ("table7", "Table 7", tables, "format_table7"),
+    ("figure6", "Figure 6", figures, "format_figure6"),
+    ("figure7", "Figure 7", figures, "format_figure7"),
+    ("figure8", "Figure 8", figures, "format_figure8"),
+    ("figure9", "Figure 9", figures, "format_figure9"),
+    ("figure10", "Figure 10", figures, "format_figure10"),
+    ("figure11", "Figure 11", figures, "format_figure11"),
+    ("figure12", "Figure 12", figures, "format_figure12"),
+    ("figure13", "Figure 13", figures, "format_figure13"),
+    ("section35", "Section 3.5 (openMSP430)", _THIS, "format_section35"),
+    ("usage_variation", "Section 4.2 (usage variation)", _THIS,
+     "format_usage_variation"),
+    ("pareto", "Design-space Pareto analysis", _THIS, "format_pareto"),
+)
+
+ALL_EXPERIMENTS = {name: getattr(module, formatter)
+                   for name, _, module, formatter in SECTIONS}
+
+
 def generate(path=None):
     """Render the full EXPERIMENTS.md document; optionally write it."""
     parts = [
@@ -152,50 +181,10 @@ def generate(path=None):
         "",
         DEVIATIONS,
         "",
-        _section("Table 1", tables.format_table1()),
-        _section("Table 2", tables.format_table2()),
-        _section("Table 3", tables.format_table3()),
-        _section("Table 4", tables.format_table4()),
-        _section("Table 5", tables.format_table5()),
-        _section("Table 6", tables.format_table6()),
-        _section("Table 7", tables.format_table7()),
-        _section("Figure 6", figures.format_figure6()),
-        _section("Figure 7", figures.format_figure7()),
-        _section("Figure 8", figures.format_figure8()),
-        _section("Figure 9", figures.format_figure9()),
-        _section("Figure 10", figures.format_figure10()),
-        _section("Figure 11", figures.format_figure11()),
-        _section("Figure 12", figures.format_figure12()),
-        _section("Figure 13", figures.format_figure13()),
-        _section("Section 3.5 (openMSP430)", format_section35()),
-        _section("Section 4.2 (usage variation)",
-                 format_usage_variation()),
-        _section("Design-space Pareto analysis", format_pareto()),
-    ]
+    ] + [_section(title, getattr(module, formatter)())
+         for _, title, module, formatter in SECTIONS]
     document = "\n".join(parts)
     if path is not None:
         with open(path, "w") as handle:
             handle.write(document)
     return document
-
-
-ALL_EXPERIMENTS = {
-    "table1": tables.format_table1,
-    "table2": tables.format_table2,
-    "table3": tables.format_table3,
-    "table4": tables.format_table4,
-    "table5": tables.format_table5,
-    "table6": tables.format_table6,
-    "table7": tables.format_table7,
-    "figure6": figures.format_figure6,
-    "figure7": figures.format_figure7,
-    "figure8": figures.format_figure8,
-    "figure9": figures.format_figure9,
-    "figure10": figures.format_figure10,
-    "figure11": figures.format_figure11,
-    "figure12": figures.format_figure12,
-    "figure13": figures.format_figure13,
-    "section35": format_section35,
-    "usage_variation": format_usage_variation,
-    "pareto": format_pareto,
-}

@@ -1,10 +1,12 @@
 """Named job types: validated parameter schemas over the engine.
 
 Every service job is a *named type* with a declared schema -- the
-service never executes caller-supplied code.  A runner receives its
-validated parameters plus a :class:`JobContext` and returns
-``(result_document, artifacts)`` where artifacts is a list of
-``(name, content_type, payload)`` tuples.
+service never executes caller-supplied code.  A schema maps parameter
+names to :class:`~repro.params.Field` declarations; ``dse_search`` and
+``conformance`` take theirs from :mod:`repro.params`, which ``repro``
+builds its flags from too.  A runner receives its validated parameters
+plus a :class:`JobContext` and returns ``(result_document, artifacts)``
+where artifacts is a list of ``(name, content_type, payload)`` tuples.
 
 Built-in types:
 
@@ -25,76 +27,19 @@ runtime (tests register a ``sleep`` type to exercise queue behavior).
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from repro.engine import Engine, Job, spawn_seeds
-
-
-class ValidationError(ValueError):
-    """A submission document failed schema validation (HTTP 400)."""
-
-
-# ----------------------------------------------------------------------
-# Schema mini-language.
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Field:
-    """One validated job parameter."""
-
-    type: type                      # int | float | str | bool | list
-    default: object = None          # None + required=False -> optional
-    required: bool = False
-    choices: Optional[Callable] = None  # () -> allowed values
-    minimum: Optional[float] = None
-    maximum: Optional[float] = None
-    doc: str = ""
-
-    def validate(self, name, value):
-        if self.type is float and isinstance(value, int) \
-                and not isinstance(value, bool):
-            value = float(value)
-        if self.type is not bool and isinstance(value, bool):
-            raise ValidationError(f"{name}: expected {self.type.__name__}")
-        if not isinstance(value, self.type):
-            raise ValidationError(
-                f"{name}: expected {self.type.__name__}, "
-                f"got {type(value).__name__}"
-            )
-        if self.choices is not None:
-            allowed = self.choices()
-            if value not in allowed:
-                raise ValidationError(
-                    f"{name}: {value!r} not one of {sorted(allowed)}"
-                )
-        if self.minimum is not None and value < self.minimum:
-            raise ValidationError(f"{name}: {value} < {self.minimum}")
-        if self.maximum is not None and value > self.maximum:
-            raise ValidationError(f"{name}: {value} > {self.maximum}")
-        return value
-
-
-def validate_params(schema, params):
-    """Check ``params`` against ``schema``; returns normalized params."""
-    if not isinstance(params, dict):
-        raise ValidationError("params must be a JSON object")
-    unknown = set(params) - set(schema)
-    if unknown:
-        raise ValidationError(
-            f"unknown parameter(s) {sorted(unknown)}; "
-            f"accepted: {sorted(schema)}"
-        )
-    normalized = {}
-    for name, spec in schema.items():
-        if name in params:
-            normalized[name] = spec.validate(name, params[name])
-        elif spec.required:
-            raise ValidationError(f"missing required parameter '{name}'")
-        elif spec.default is not None:
-            normalized[name] = spec.default
-    return normalized
+from repro.params import (
+    CONFORMANCE,
+    DSE_SEARCH,
+    SEED,
+    Field,
+    ValidationError,
+    validate_params,  # noqa: F401  (re-exported)
+)
 
 
 # ----------------------------------------------------------------------
@@ -183,31 +128,10 @@ def describe_job_types():
     for name, jobtype in sorted(_JOB_TYPES.items()):
         doc[name] = {
             "description": jobtype.description,
-            "params": {
-                field: {
-                    "type": spec.type.__name__,
-                    "required": spec.required,
-                    **({"default": spec.default}
-                       if spec.default is not None else {}),
-                    **({"choices": sorted(spec.choices())}
-                       if spec.choices is not None else {}),
-                    **({"min": spec.minimum}
-                       if spec.minimum is not None else {}),
-                    **({"max": spec.maximum}
-                       if spec.maximum is not None else {}),
-                    **({"doc": spec.doc} if spec.doc else {}),
-                }
-                for field, spec in jobtype.schema.items()
-            },
+            "params": {field: spec.describe()
+                       for field, spec in jobtype.schema.items()},
         }
     return doc
-
-
-def run_job(jobtype_name, params, context):
-    """Validate-and-run; returns ``(result, artifacts)``."""
-    jobtype = get_job_type(jobtype_name)
-    params = validate_params(jobtype.schema, params)
-    return jobtype.runner(params, context)
 
 
 # ----------------------------------------------------------------------
@@ -230,18 +154,6 @@ def _isa_names():
     from repro.isa import available_isas
 
     return tuple(available_isas())
-
-
-def _design_names():
-    from repro.dse.designs import ALL_DESIGNS
-
-    return tuple(d.name for d in ALL_DESIGNS)
-
-
-def _oracle_names():
-    from repro.conformance.oracles import ORACLES
-
-    return tuple(sorted(ORACLES))
 
 
 # ----------------------------------------------------------------------
@@ -310,8 +222,6 @@ def _run_yield_study(params, ctx):
 
 
 def _run_wafer_maps(params, ctx):
-    import json
-
     from repro.experiments.figures import _render_grid
     from repro.fab.process import process_for
     from repro.fab.yield_model import probed_wafer_job
@@ -432,45 +342,17 @@ def _run_dse_sweep(params, ctx):
 
 
 def _run_dse_search(params, ctx):
-    from repro.dse.search import (
-        SearchConfig,
-        format_search_frontier,
-        search,
-    )
-    from repro.dse.space import DesignSpace
+    from repro.dse.search import run_dse_search
 
-    space_kwargs = {}
-    if params["features"]:
-        space_kwargs["features"] = tuple(params["features"])
-    if params["microarchs"]:
-        space_kwargs["microarchs"] = tuple(params["microarchs"])
-    if params["models"]:
-        space_kwargs["operand_models"] = tuple(params["models"])
-    if params["bus"]:
-        space_kwargs["bus_bits"] = tuple(params["bus"])
-    try:
-        config = SearchConfig(
-            budget=params["budget"],
-            seed=params["seed"],
-            objectives=tuple(params["objectives"]),
-            population=params["population"],
-            space=DesignSpace(**space_kwargs),
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
-    result = search(config, engine=ctx.engine())
-    trail = "\n".join(
-        json.dumps(record, sort_keys=True) for record in result.trail
-    )
+    result, frontier, trail = run_dse_search(params, ctx.engine())
     return result.to_doc(), [
-        ("dse_search.txt", "text/plain; charset=utf-8",
-         format_search_frontier(result) + "\n"),
-        ("dse_search_trail.jsonl", "application/jsonl", trail + "\n"),
+        ("dse_search.txt", "text/plain; charset=utf-8", frontier + "\n"),
+        ("dse_search_trail.jsonl", "application/jsonl", trail),
     ]
 
 
 def _run_conformance(params, ctx):
-    from repro.conformance import run_campaign
+    from repro.conformance import format_campaign, run_campaign
 
     summary = run_campaign(
         params["seed"], params["budget"],
@@ -491,18 +373,9 @@ def _run_conformance(params, ctx):
             for entry in summary["divergences"]
         ],
     }
-    lines = [
-        f"conformance: seed {params['seed']}, budget "
-        f"{params['budget']}, {summary['cases']} cases, "
-        f"{len(summary['divergences'])} divergence(s)",
-    ]
-    for item in summary["slices"]:
-        lines.append(
-            f"  {item['oracle']:<10} {item['target']:<14} "
-            f"{item['cases']:5d} cases {item['divergences']:3d} diverged"
-        )
+    text = format_campaign(summary, params["seed"], params["budget"])
     return result, [("conformance.txt", "text/plain; charset=utf-8",
-                     "\n".join(lines) + "\n")]
+                     text + "\n")]
 
 
 from repro.engine import job_function  # noqa: E402
@@ -567,11 +440,11 @@ register_job_type(
     "Wafer-yield Monte Carlo for one core (Table 5 row)",
     {
         "core": Field(str, required=True, choices=_core_names),
-        "wafers": Field(int, default=2, minimum=1, maximum=64),
-        "seed": Field(int, default=2022, minimum=0),
-        "voltages": Field(list, default=[3.0, 4.5],
+        "wafers": Field(int, default=2, minimum=1, cap=64),
+        "seed": SEED,
+        "voltages": Field(list, default=[3.0, 4.5], item=float,
                           doc="probe voltages"),
-        "fault_check": Field(int, default=0, minimum=0, maximum=256,
+        "fault_check": Field(int, default=0, minimum=0, cap=256,
                              doc="stuck-at faults to inject (0 = off)"),
     },
     _run_yield_study,
@@ -582,8 +455,8 @@ register_job_type(
     "Figure 6/7 output-error and current wafer maps for one core",
     {
         "core": Field(str, required=True, choices=_core_names),
-        "seed": Field(int, default=2022, minimum=0),
-        "voltages": Field(list, default=[3.0, 4.5]),
+        "seed": SEED,
+        "voltages": Field(list, default=[3.0, 4.5], item=float),
     },
     _run_wafer_maps,
 )
@@ -594,9 +467,9 @@ register_job_type(
     {
         "designs": Field(list, default=[],
                          doc="design names ([] = all)"),
-        "transactions": Field(int, default=12, minimum=1, maximum=64),
-        "seed": Field(int, default=2022, minimum=0),
-        "bus_bits": Field(int, default=0, minimum=0, maximum=32,
+        "transactions": Field(int, default=12, minimum=1, cap=64),
+        "seed": SEED,
+        "bus_bits": Field(int, default=0, minimum=0, cap=32,
                           doc="program-bus restriction (0 = natural)"),
         "gate_check": Field(bool, default=False),
     },
@@ -606,35 +479,14 @@ register_job_type(
 register_job_type(
     "dse_search",
     "Adaptive multi-objective search over the parametric design space",
-    {
-        "budget": Field(int, default=48, minimum=2, maximum=1024,
-                        doc="scoring-job budget (any fidelity)"),
-        "seed": Field(int, default=2022, minimum=0),
-        "objectives": Field(list, default=["area", "cost", "energy"],
-                            doc="lower-is-better objectives from "
-                                "area/cost/energy/code"),
-        "population": Field(int, default=16, minimum=2, maximum=128),
-        "features": Field(list, default=[],
-                          doc="feature-gate axis ([] = all gates)"),
-        "microarchs": Field(list, default=[],
-                            doc="microarch axis ([] = SC,P,MC)"),
-        "models": Field(list, default=[],
-                        doc="operand-model axis ([] = acc,ls)"),
-        "bus": Field(list, default=[],
-                     doc="program-bus widths; 0 = natural ([] = 0,8)"),
-    },
+    DSE_SEARCH,
     _run_dse_search,
 )
 
 register_job_type(
     "conformance",
     "Differential-testing campaign over the redundant paths",
-    {
-        "seed": Field(int, default=0, minimum=0),
-        "budget": Field(int, default=50, minimum=1, maximum=2000),
-        "oracles": Field(list, default=[],
-                         doc="oracle names ([] = all)"),
-    },
+    CONFORMANCE,
     _run_conformance,
 )
 
@@ -644,8 +496,8 @@ register_job_type(
     {
         "kernel": Field(str, required=True, choices=_kernel_names),
         "isa": Field(str, default="flexicore4", choices=_isa_names),
-        "transactions": Field(int, default=10, minimum=1, maximum=1000),
-        "seed": Field(int, default=2022, minimum=0),
+        "transactions": Field(int, default=10, minimum=1, cap=1000),
+        "seed": SEED,
     },
     _run_kernel,
 )

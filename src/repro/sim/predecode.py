@@ -23,13 +23,15 @@ semantics as :meth:`repro.sim.memory.ProgramMemory.fetch_window`), and
 pages beyond the image read as zero-filled ROM.  MMU page switches
 become a table swap instead of any kind of cache flush.
 
-Tables are memoized per ISA instance (weakly) and per image, so what
-one run decodes, later runs of the image reuse; the build/hit traffic
-is visible through the ``sim_predecode_*`` obs counters.
+Tables are memoized per ISA instance and per image, so what one run
+decodes, later runs of the image reuse; the build/hit traffic is
+visible through the ``sim_predecode_*`` obs counters.  They live until
+:func:`clear_cache` (``repro.sim.clear_predecode_cache``): every ISA in
+the program comes from the memoizing :func:`~repro.isa.get_isa`
+registry, which keeps it alive anyway.
 """
 
 from collections import OrderedDict
-from weakref import WeakKeyDictionary
 
 from repro import obs
 from repro.asm.assembler import MAX_PAGES, PAGE_SIZE
@@ -216,9 +218,9 @@ def _fault_fn(message):
 
 
 # isa -> OrderedDict[image bytes -> PredecodedProgram]  (LRU per ISA)
-_CACHE = WeakKeyDictionary()
+_CACHE = {}
 # isa -> the shared zero-ROM PageTable
-_ZERO_PAGES = WeakKeyDictionary()
+_ZERO_PAGES = {}
 
 
 def _zero_page(isa):

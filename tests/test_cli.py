@@ -182,17 +182,17 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("argv, message", [
         (["yield", "--no-cache", "--wafers", "0"],
-         "--wafers: must be a positive integer"),
+         "--wafers: wafers: 0 < 1"),
         (["yield", "--no-cache", "--wafers", "-1"],
-         "--wafers: must be a positive integer"),
+         "--wafers: wafers: -1 < 1"),
         (["yield", "--no-cache", "--fault-check", "-5"],
-         "--fault-check: must be a non-negative integer"),
+         "--fault-check: fault_check: -5 < 0"),
         (["kernels", "--transactions", "0"],
-         "--transactions: must be a positive integer"),
+         "--transactions: transactions: 0 < 1"),
         (["kernels", "--transactions", "-3"],
-         "--transactions: must be a positive integer"),
+         "--transactions: transactions: -3 < 1"),
         (["serve", "--max-queued", "-3"],
-         "--max-queued: must be a non-negative integer"),
+         "--max-queued: max_queued: -3 < 0"),
     ], ids=["wafers=0", "wafers=-1", "fault-check=-5",
             "kernels-transactions=0", "kernels-transactions=-3",
             "serve-max-queued=-3"])

@@ -274,7 +274,7 @@ class TestSearch:
         cfg = SearchConfig(budget=4, seed=2, population=4, space=TINY)
         result = search(cfg, engine=Engine(jobs=1, cache=None))
         path = tmp_path / "trail.jsonl"
-        result.write_trail(path)
+        path.write_text(result.trail_jsonl())
         records = [json.loads(line)
                    for line in path.read_text().splitlines()]
         assert [r["evaluation"] for r in records] == [1, 2, 3, 4]

@@ -205,12 +205,15 @@ class TestPoolWorkerDeath:
         assert not engine.metrics.degraded
         assert engine.metrics.worker_failures == 1
 
-    def test_pool_that_keeps_breaking_degrades_to_serial(self):
+    def test_pool_that_keeps_breaking_degrades_to_serial(
+            self, tmp_path, monkeypatch):
         """A job that kills every pool worker it runs in breaks each
         fresh pool: after ``_POOL_RESTARTS`` restarts the engine runs
-        the batch serially and still returns the serial results."""
+        the batch serially and still returns the serial results.  The
+        degrade leaves one flight dump in the state dir."""
         from repro.engine.scheduler import _POOL_RESTARTS
 
+        monkeypatch.setenv("REPRO_STATE_DIR", str(tmp_path))
         jobs = [Job(pool_killer_job,
                     {"value": value, "parent_pid": os.getpid()},
                     label=f"killer{value}")
@@ -220,3 +223,5 @@ class TestPoolWorkerDeath:
         assert results == Engine(jobs=1).run(jobs) == [0, 1, 2, 3]
         assert engine.metrics.degraded
         assert engine.metrics.worker_failures == _POOL_RESTARTS + 1
+        dumps = list(tmp_path.glob("flight/*_engine_degraded.json"))
+        assert len(dumps) == 1
