@@ -464,6 +464,7 @@ def _parse_size(text):
 def cmd_engine(args):
     # Import the job-function providers so the registry is populated.
     import repro.dse.evaluate  # noqa: F401
+    import repro.experiments.figures  # noqa: F401
     import repro.fab.yield_model  # noqa: F401
     from repro.engine import ResultCache, load_last_run, registered
 

@@ -142,10 +142,13 @@ class ResultCache:
         """(hit, value); a corrupt or unreadable entry counts as a miss.
 
         A *corrupt* entry (the pickle exists but does not deserialize --
-        truncated by a crash mid-write, or referencing symbols this
-        checkout no longer has) is quarantined: both the ``.pkl`` and
-        its ``.json`` metadata are deleted so the next ``put`` starts
-        from a clean slot instead of shadowing good data with bad.
+        truncated by a crash mid-write, overwritten with garbage, or
+        referencing symbols this checkout no longer has) is quarantined:
+        both the ``.pkl`` and its ``.json`` metadata are deleted so the
+        next ``put`` starts from a clean slot instead of shadowing good
+        data with bad.  Garbage can fail to unpickle with almost any
+        exception (``OverflowError`` and ``MemoryError`` among them), so
+        every one of them counts as corruption.
         """
         data_path, meta_path = self._paths(fn_name, key)
         try:
@@ -154,8 +157,7 @@ class ResultCache:
         except OSError:
             self.misses += 1
             return False, None
-        except (pickle.UnpicklingError, EOFError,
-                AttributeError, ImportError, ValueError):
+        except Exception:
             self._quarantine(fn_name, data_path, meta_path)
             self.misses += 1
             return False, None

@@ -156,6 +156,12 @@ def _isa_names():
     return tuple(available_isas())
 
 
+def _design_names():
+    from repro.dse.designs import ALL_DESIGNS
+
+    return tuple(design.name for design in ALL_DESIGNS)
+
+
 # ----------------------------------------------------------------------
 # Built-in runners.
 # ----------------------------------------------------------------------
@@ -287,11 +293,6 @@ def _run_dse_sweep(params, ctx):
 
     by_name = {d.name: d for d in ALL_DESIGNS}
     names = params["designs"] or list(by_name)
-    unknown = [n for n in names if n not in by_name]
-    if unknown:
-        raise ValidationError(
-            f"unknown design(s) {unknown}; available: {sorted(by_name)}"
-        )
     selection = [by_name[n] for n in names]
     evaluated = evaluate_all(
         designs=selection, transactions=params["transactions"],
@@ -465,7 +466,7 @@ register_job_type(
     "dse_sweep",
     "Design-space evaluation over named design points (Figures 11-13)",
     {
-        "designs": Field(list, default=[],
+        "designs": Field(list, default=[], choices=_design_names,
                          doc="design names ([] = all)"),
         "transactions": Field(int, default=12, minimum=1, cap=64),
         "seed": SEED,

@@ -115,6 +115,23 @@ class TestCorruptEntryQuarantine:
         hit, _ = cache.get("fn", key)
         assert hit is False and cache.corrupt == 1
 
+    @pytest.mark.parametrize("garbage", [
+        b"\x8e" + b"\xff" * 8,          # BINBYTES8 past sys.maxsize
+        b"\x84\xa0\x99EJ",              # unregistered extension code
+        b"c\xeas\x98R\x10Ke_\xd4\xc9\n",  # GLOBAL name, not UTF-8
+    ], ids=["overflow", "extension", "unicode"])
+    def test_any_unpickling_error_is_quarantined(self, tmp_path,
+                                                 garbage):
+        # Random bytes fail with more than UnpicklingError; each one is
+        # corruption, never an exception out of the engine's lookup.
+        cache = ResultCache(tmp_path / "cache")
+        data_path, meta_path = self.corrupt(cache)
+        data_path.write_bytes(garbage)
+        hit, value = cache.get("fn", "k" * 64)
+        assert hit is False and value is None
+        assert cache.corrupt == 1
+        assert not data_path.exists() and not meta_path.exists()
+
     def test_missing_entry_is_plain_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         hit, _ = cache.get("fn", "absent" * 11)

@@ -57,6 +57,18 @@ register_job_type(
 )
 
 
+def _fail_runner(params, ctx):
+    """Test-only job: admitted, then raises when it runs."""
+    raise RuntimeError(f"deliberate failure: {params['reason']}")
+
+
+register_job_type(
+    "fail_test", "test-only job whose runner raises",
+    {"reason": Field(str, default="NoSuchDesign")},
+    _fail_runner,
+)
+
+
 def _registry():
     return TenantRegistry([
         Tenant(name="alice", key="alice-key", rate=1000.0, burst=1000,
@@ -211,6 +223,12 @@ class TestAdmission:
                 alice.submit("yield_study", params)
             assert info.value.status == 400
 
+    def test_unknown_design_is_400(self, alice):
+        with pytest.raises(ServiceApiError) as info:
+            alice.submit("dse_sweep", {"designs": ["NoSuchDesign"]})
+        assert info.value.status == 400
+        assert "NoSuchDesign" in info.value.message
+
     def test_yield_study_takes_no_backend(self, alice):
         # The lane count picks the gate-level simulator; a client that
         # still names one is refused like any unknown parameter.
@@ -335,8 +353,7 @@ class TestCancel:
             handle.stop()
 
     def test_failed_job_reports_error(self, alice):
-        doc = alice.run("dse_sweep", {"designs": ["NoSuchDesign"],
-                                      "transactions": 1})
+        doc = alice.run("fail_test", {"reason": "NoSuchDesign"})
         assert doc["status"] == "failed"
         assert "NoSuchDesign" in doc["error"]
         assert "result" not in doc
