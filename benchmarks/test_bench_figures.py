@@ -88,7 +88,7 @@ class TestFigure10:
 class TestFigure11:
     def test_figure11(self, benchmark):
         def evaluate():
-            figures._dse_wide.cache_clear()
+            figures._RESULTS.clear()
             return figures.figure11()
 
         data = benchmark.pedantic(evaluate, rounds=1, iterations=1)

@@ -24,7 +24,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro import obs
-from repro.dse.designs import ALL_DESIGNS, BASELINE, DesignPoint
+from repro.dse.designs import ALL_DESIGNS, DesignPoint
 from repro.engine import Job, engine_or_default, job_function
 from repro.kernels.kernel import Target
 from repro.kernels.suite import SUITE
@@ -290,16 +290,11 @@ def evaluate_design_job(params, seed):
     )
 
 
-def evaluate_all(designs=ALL_DESIGNS, transactions=12, seed=2022,
-                 bus_bits=None, engine=None, gate_check=False):
-    """Evaluate a set of designs; returns {design name: DesignMetrics}.
-
-    Each design point is one engine job: with ``engine`` (or the
-    process-wide default) configured for multiple workers the designs
-    evaluate in parallel, and with a cache the whole sweep is a lookup.
-    ``gate_check`` threads through to :func:`evaluate_design`; it joins
-    the cache key only when set, so existing cached sweeps stay valid.
-    """
+def design_jobs(designs=ALL_DESIGNS, transactions=12, seed=2022,
+                bus_bits=None, gate_check=False):
+    """``{design name: Job}``, one :func:`evaluate_design_job` each;
+    ``gate_check`` joins the cache key only when set.  A duplicate
+    name raises ``ValueError``: the dict would silently collapse it."""
     designs = list(designs)
     seen = {}
     for design in designs:
@@ -312,24 +307,29 @@ def evaluate_all(designs=ALL_DESIGNS, transactions=12, seed=2022,
             "by name, so duplicates would silently collapse; rename "
             "the conflicting DesignPoints"
         )
-    eng = engine_or_default(engine)
-    nodes = [
-        eng.submit(Job(
+    return {
+        design.name: Job(
             evaluate_design_job,
             {"design": design, "transactions": transactions,
              "seed": seed, "bus_bits": bus_bits,
              **({"gate_check": True} if gate_check else {})},
             label=f"dse:{design.name}"
                   + (f":bus{bus_bits}" if bus_bits else ""),
-        ))
+        )
         for design in designs
-    ]
-    eng.run_graph(stage="dse")
-    return {
-        design.name: node.result
-        for design, node in zip(designs, nodes)
     }
 
 
-def baseline_metrics(transactions=12, seed=2022):
-    return evaluate_design(BASELINE, transactions=transactions, seed=seed)
+def evaluate_all(designs=ALL_DESIGNS, transactions=12, seed=2022,
+                 bus_bits=None, engine=None, gate_check=False):
+    """Evaluate a set of designs; returns {design name: DesignMetrics}.
+
+    Each design point is one engine job (:func:`design_jobs`): with
+    ``engine`` (or the process-wide default) configured for multiple
+    workers the designs evaluate in parallel, and with a cache the
+    whole sweep is a lookup.
+    """
+    jobs = design_jobs(designs, transactions, seed, bus_bits, gate_check)
+    results = engine_or_default(engine).run(list(jobs.values()),
+                                            stage="dse")
+    return dict(zip(jobs, results))

@@ -57,21 +57,29 @@ def pareto_frontier(points):
 def explore(metrics=("area", "energy"), designs=ALL_DESIGNS,
             bus_bits=None, transactions=12, feasible_only=True,
             baseline=BASELINE.name):
-    """Evaluate ``designs`` and return the Pareto frontier over
-    ``metrics`` (names from :data:`METRICS`).
-
-    Every metric is normalized against ``baseline`` (a design name
-    that must be present in ``designs``); the baseline is selected
-    *before* ``feasible_only`` filtering, so an infeasible baseline
-    still anchors the relative metrics even though it is excluded
-    from the frontier itself.
-    """
+    """Evaluate ``designs`` (:func:`~repro.dse.evaluate.evaluate_all`)
+    and return their :func:`pareto` frontier over ``metrics``.  Unknown
+    metric names are rejected before anything is evaluated."""
     unknown = set(metrics) - set(METRICS)
     if unknown:
         raise KeyError(f"unknown metrics {sorted(unknown)}; "
                        f"choose from {sorted(METRICS)}")
     results = evaluate_all(designs, transactions=transactions,
                            bus_bits=bus_bits)
+    return pareto(results, metrics, feasible_only, baseline)
+
+
+def pareto(results, metrics=("area", "energy"), feasible_only=True,
+           baseline=BASELINE.name):
+    """``(frontier, points)`` of evaluated designs (``{name:
+    DesignMetrics}``) over ``metrics`` (names from :data:`METRICS`).
+
+    Every metric is normalized against ``baseline`` (a design name
+    that must be present in ``results``); the baseline is selected
+    *before* ``feasible_only`` filtering, so an infeasible baseline
+    still anchors the relative metrics even though it is excluded
+    from the frontier itself.
+    """
     if baseline not in results:
         raise ValueError(
             f"baseline design {baseline!r} is not among the evaluated "

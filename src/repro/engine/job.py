@@ -94,10 +94,6 @@ class Job:
     seed: Optional[ChildSeed] = None
     label: Optional[str] = None
     cache_key: Optional[str] = None
-    #: ``False`` opts this job out of the result cache entirely -- used
-    #: for cheap merge/fold nodes in a graph whose inputs are already
-    #: cached, where an extra entry would only dilute hit accounting.
-    cached: bool = True
 
     def __post_init__(self):
         self.seed = as_child_seed(self.seed)

@@ -328,8 +328,7 @@ class Engine:
                 stage_metrics.cache_hits += 1
             else:
                 stage_metrics.computed += 1
-                if (self.cache is not None and node.job.cached
-                        and node.key is not None):
+                if self.cache is not None and node.key is not None:
                     self.cache.put(
                         _fn_name(node.job), node.key, value, meta={
                             "label": node.job.label,
@@ -397,8 +396,7 @@ class Engine:
                             dep.dependents.append(node)
 
                 for node in nodes:
-                    if (self.cache is not None and node.job.cached
-                            and node.key is not None):
+                    if self.cache is not None and node.key is not None:
                         hit, value = self.cache.get(
                             _fn_name(node.job), node.key
                         )
@@ -450,7 +448,7 @@ class Engine:
         """The node's job with dependency results injected."""
         job = node.job
         return Job(job.fn, effective_params(node), job.seed,
-                   job.label, node.key, cached=job.cached)
+                   job.label, node.key)
 
     def _drive_graph(self, ready, resolve, run_serial_node, computing):
         # A single job to compute runs inline: no pool is worth

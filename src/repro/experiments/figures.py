@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.dse.designs import DSE_DESIGNS
-from repro.dse.evaluate import evaluate_all
+from repro.dse.evaluate import design_jobs
 from repro.dse.features import (
     FEATURE_POINTS,
     feature_point_jobs,
@@ -18,9 +18,10 @@ from repro.dse.features import (
     sweep_reports,
 )
 from repro.engine import Job, engine_or_default, job_function, spawn_seeds
+from repro.engine.cache import job_cache_key
 from repro.experiments import paper_data
-from repro.experiments.tables import table6_counts_job
-from repro.fab.process import FC4_WAFER, FC8_WAFER
+from repro.experiments.tables import CORES, table6_counts_job
+from repro.fab.process import process_for
 from repro.fab.yield_model import probed_wafer_job
 from repro.kernels import calculator
 from repro.kernels.kernel import Target
@@ -30,60 +31,62 @@ from repro.tech.power import FMAX_HZ, OperatingPoint, static_power_w
 
 
 # ----------------------------------------------------------------------
+# The report's engine jobs, run once per process.
+# ----------------------------------------------------------------------
+
+#: Every result :func:`run_jobs` returned in this process, by job key.
+_RESULTS = {}
+
+
+def run_jobs(jobs, stage):
+    """``{name: result}`` for ``jobs`` (``{name: Job}``).
+
+    Results are kept under each job's cache key, so a reader gets the
+    same result however it spells its arguments.  The jobs not kept yet
+    run as one engine run: computed when cold, read from the result
+    cache when warm."""
+    keys = {name: job_cache_key(job) for name, job in jobs.items()}
+    missing = {key: jobs[name] for name, key in keys.items()
+               if key not in _RESULTS}
+    if missing:
+        results = engine_or_default().run(list(missing.values()),
+                                          stage=stage)
+        _RESULTS.update(zip(missing, results))
+    return {name: _RESULTS[key] for name, key in keys.items()}
+
+
+# ----------------------------------------------------------------------
 # Figures 6 and 7: wafer maps.
 # ----------------------------------------------------------------------
 
-#: (display name, registered core name, wafer process) of the Figure
-#: 6/7 wafer maps.
-_WAFER_CORES = (
-    ("FlexiCore4", "flexicore4", FC4_WAFER),
-    ("FlexiCore8", "flexicore8", FC8_WAFER),
-)
-
-
-def engine_wafer_provider(seed, engine=None, voltages=(3.0, 4.5)):
-    """Default wafer provider: one engine job per core, each fabricated
-    and probed under its own ``SeedSequence.spawn`` child seed, so the
-    result is identical whether the jobs run serially, in parallel, or
-    straight out of the result cache."""
-    jobs = [
-        Job(
+def wafer_jobs(seed=2022):
+    """The Figure 6/7 wafers as ``{core display name: Job}``: one wafer
+    per core, fabricated and probed at 3 V and 4.5 V under the core's
+    own ``SeedSequence.spawn`` child of ``seed``."""
+    return {
+        name: Job(
             probed_wafer_job,
-            {"core": core, "process": process,
-             "voltages": tuple(voltages)},
+            {"core": core, "process": process_for(core),
+             "voltages": (3.0, 4.5)},
             seed=child,
             label=f"probe:{core}",
         )
-        for (_, core, process), child in zip(
-            _WAFER_CORES, spawn_seeds(seed, len(_WAFER_CORES))
-        )
-    ]
-    results = engine_or_default(engine).run(jobs, stage="wafers")
-    wafers = {}
-    for (name, _, _), result in zip(_WAFER_CORES, results):
-        entry = {"fabricated": result["fabricated"]}
-        entry.update(result["probes"])
-        wafers[name] = entry
-    return wafers
+        for (name, core), child in zip(CORES,
+                                       spawn_seeds(seed, len(CORES)))
+    }
 
 
-@lru_cache(maxsize=None)
-def _probed_wafers(seed=2022, provider=None):
-    """One fabricated wafer per core, probed at both voltages.
-
-    ``provider`` is injectable (``provider(seed) -> {core: {"fabricated":
-    wafer, voltage: probe, ...}}``) so cached/parallel engine results --
-    or synthetic wafers in tests -- flow through every Figure 6/7 helper
-    instead of runs constructed inline."""
-    provider = provider or engine_wafer_provider
-    return provider(seed)
+def probed_wafers(seed=2022):
+    """``{core display name: {"fabricated": wafer, "probes": {voltage:
+    probe}}}``: :func:`wafer_jobs` through :func:`run_jobs`."""
+    return run_jobs(wafer_jobs(seed), stage="wafers")
 
 
 def figure6(seed=2022):
     """Output-error wafer maps at 3 V and 4.5 V for both cores."""
-    wafers = _probed_wafers(seed)
+    wafers = probed_wafers(seed)
     return {
-        (core, voltage): wafers[core][voltage].error_map()
+        (core, voltage): wafers[core]["probes"][voltage].error_map()
         for core in wafers
         for voltage in (3.0, 4.5)
     }
@@ -91,11 +94,11 @@ def figure6(seed=2022):
 
 def figure7(seed=2022):
     """Current-draw wafer maps at 3 V and 4.5 V for both cores."""
-    wafers = _probed_wafers(seed)
+    wafers = probed_wafers(seed)
     result = {}
     for core in wafers:
         for voltage in (3.0, 4.5):
-            probe = wafers[core][voltage]
+            probe = wafers[core]["probes"][voltage]
             mean, std, rsd = probe.current_statistics()
             result[(core, voltage)] = {
                 "map": probe.current_map(),
@@ -107,7 +110,8 @@ def figure7(seed=2022):
     return result
 
 
-def _render_grid(cells, render_cell):
+def render_grid(cells, render_cell):
+    """A wafer map as text, ``render_cell(value or None)`` per site."""
     if not cells:
         return "(empty wafer)"
     rows = max(r for r, _ in cells) + 1
@@ -121,20 +125,29 @@ def _render_grid(cells, render_cell):
     return "\n".join(lines)
 
 
+def render_error_cell(errors):
+    """One Figure 6 die: ``.`` no die, ``O`` no errors, else the number
+    of digits of its error count (at most 9)."""
+    if errors is None:
+        return " ."
+    if errors == 0:
+        return " O"
+    magnitude = min(9, max(1, int(np.log10(errors)) + 1))
+    return f" {magnitude}"
+
+
+def render_current_cell(current):
+    """One Figure 7 die: its current draw in mA, ``.`` for no die."""
+    return "   ." if current is None else f" {current:3.1f}"
+
+
 def format_figure6(seed=2022):
     maps = figure6(seed)
     parts = ["Figure 6: output errors per die "
              "(. = no die, O = 0 errors, 1-9 = log10-ish error count)"]
     for (core, voltage), cells in maps.items():
-        def render(errors):
-            if errors is None:
-                return " ."
-            if errors == 0:
-                return " O"
-            magnitude = min(9, max(1, int(np.log10(errors)) + 1))
-            return f" {magnitude}"
         parts.append(f"\n-- {core} at {voltage} V --")
-        parts.append(_render_grid(cells, render))
+        parts.append(render_grid(cells, render_error_cell))
     return "\n".join(parts)
 
 
@@ -142,15 +155,11 @@ def format_figure7(seed=2022):
     data = figure7(seed)
     parts = ["Figure 7: current draw per die (mA, 'x.x'; . = no die)"]
     for (core, voltage), entry in data.items():
-        def render(current):
-            if current is None:
-                return "   ."
-            return f" {current:3.1f}"
         parts.append(
             f"\n-- {core} at {voltage} V: mean "
             f"{entry['mean_ma']:.2f} mA, rsd {100 * entry['rsd']:.1f}% --"
         )
-        parts.append(_render_grid(entry["map"], render))
+        parts.append(render_grid(entry["map"], render_current_cell))
     return "\n".join(parts)
 
 
@@ -225,19 +234,10 @@ def kernel_study_jobs(seed=8):
     return jobs
 
 
-def kernel_study(kind, name, seed=8):
-    """One result of :func:`kernel_study_jobs`.  The jobs run as one
-    engine run per process and seed: computed on the pool when cold,
-    read from the result cache when warm.  Figures 8-10 and Table 6
-    read it."""
-    return _kernel_studies(seed)[kind, name]
-
-
-@lru_cache(maxsize=None)
-def _kernel_studies(seed):
-    jobs = kernel_study_jobs(seed)
-    results = engine_or_default().run(list(jobs.values()), stage="kernels")
-    return dict(zip(jobs, results))
+def kernel_studies(seed=8):
+    """The results of :func:`kernel_study_jobs`, through
+    :func:`run_jobs`.  Figures 8-10 and Table 6 read them."""
+    return run_jobs(kernel_study_jobs(seed), stage="kernels")
 
 
 @lru_cache(maxsize=None)
@@ -246,9 +246,10 @@ def figure8(seed=8):
     power = static_power_w(build_flexicore4().pullups,
                            OperatingPoint(vdd=4.5))
     nj_per_instruction = power / FMAX_HZ * 1e9
+    studies = kernel_studies(seed)
     rows = {}
     for row, _, _ in FIGURE8_ROWS:
-        instructions = kernel_study("figure8", row, seed)
+        instructions = studies["figure8", row]
         rows[row] = {
             "instructions": instructions,
             "time_ms": instructions / FMAX_HZ * 1e3,
@@ -283,8 +284,8 @@ def format_figure8():
 # ----------------------------------------------------------------------
 
 def _feature_points():
-    return {name: kernel_study("feature", name)
-            for name, _, _ in FEATURE_POINTS}
+    studies = kernel_studies()
+    return {name: studies["feature", name] for name, _, _ in FEATURE_POINTS}
 
 
 def _sweep():
@@ -369,19 +370,17 @@ def format_figure10():
 # Figures 11, 12, 13: the operand/microarchitecture study.
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _dse_wide():
-    return evaluate_all()
-
-
-@lru_cache(maxsize=None)
-def _dse_bus():
-    return evaluate_all(bus_bits=8)
+def dse_sweep(bus_bits=None):
+    """The design points of Figures 11-13 and the Pareto analysis,
+    evaluated (:func:`~repro.dse.evaluate.design_jobs`) through
+    :func:`run_jobs`: ``{design name: DesignMetrics}``.  ``bus_bits=8``
+    is Figure 13's restricted program bus."""
+    return run_jobs(design_jobs(bus_bits=bus_bits), stage="dse")
 
 
 def figure11():
     """Per-kernel performance and energy of the DSE cores vs FlexiCore4."""
-    results = _dse_wide()
+    results = dse_sweep()
     base = results["FlexiCore4"]
     perf = {}
     energy = {}
@@ -432,7 +431,7 @@ def format_figure11():
 
 def figure12():
     """Normalized core area vs code size for the six DSE designs."""
-    results = _dse_wide()
+    results = dse_sweep()
     anchor = results["Acc SC"]
     rows = {}
     for design in DSE_DESIGNS:
@@ -457,8 +456,8 @@ def format_figure12():
 
 def figure13():
     """Relative energy of the DSE cores, wide bus and 8-bit bus."""
-    wide = _dse_wide()
-    bus = _dse_bus()
+    wide = dse_sweep()
+    bus = dse_sweep(bus_bits=8)
     anchor = wide["Acc SC"]
     rows = {}
     for design in DSE_DESIGNS:

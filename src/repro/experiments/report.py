@@ -76,11 +76,11 @@ def format_usage_variation():
     """Section 4.2's closing observation, quantified: how the measured
     current spread translates into unequal battery lifetimes.
 
-    Reuses the Figure 6/7 wafer from the engine-backed provider, so the
-    analysis shares its cache entry instead of re-rolling a wafer."""
+    Reuses the Figure 6/7 wafer, so the analysis shares its job instead
+    of re-rolling a wafer."""
     from repro.fab.variation import summarize, usage_distribution
 
-    probe = figures._probed_wafers()["FlexiCore4"][4.5]
+    probe = figures.probed_wafers()["FlexiCore4"]["probes"][4.5]
     # One IntAvg+Thresholding inference (the Section 5.2 pipeline).
     dist = usage_distribution(probe, instructions_per_use=110)
     return (
@@ -94,11 +94,12 @@ def format_usage_variation():
 
 
 def format_pareto():
-    from repro.dse.explorer import explore, format_frontier
+    from repro.dse.explorer import format_frontier, pareto
 
     metrics = ("area", "energy")
-    wide_frontier, wide_points = explore(metrics=metrics)
-    bus_frontier, bus_points = explore(metrics=metrics, bus_bits=8)
+    wide_frontier, wide_points = pareto(figures.dse_sweep(), metrics)
+    bus_frontier, bus_points = pareto(figures.dse_sweep(bus_bits=8),
+                                      metrics)
     return (
         "Pareto frontier, wide program bus:\n"
         + format_frontier(wide_frontier, wide_points, metrics)
@@ -166,7 +167,18 @@ ALL_EXPERIMENTS = {name: getattr(module, formatter)
 
 
 def generate(path=None):
-    """Render the full EXPERIMENTS.md document; optionally write it."""
+    """Render the full EXPERIMENTS.md document; optionally write it.
+
+    Every engine job the sections read runs first, as one batch; the
+    sections then read the results from :func:`figures.run_jobs`."""
+    from repro.dse.evaluate import design_jobs
+
+    builders = (tables.yield_jobs(), figures.wafer_jobs(),
+                figures.kernel_study_jobs(), design_jobs(),
+                design_jobs(bus_bits=8))
+    figures.run_jobs({(index, name): job
+                      for index, jobs in enumerate(builders)
+                      for name, job in jobs.items()}, stage="report")
     parts = [
         "# EXPERIMENTS -- paper vs measured",
         "",

@@ -6,10 +6,10 @@ renders the same rows the paper prints.
 
 from functools import lru_cache
 
-from repro.engine import job_function
+from repro.engine import job_function, spawn_seeds
 from repro.experiments import paper_data
-from repro.fab.process import FC4_WAFER, FC8_WAFER
-from repro.fab.yield_model import run_yield_study
+from repro.fab.process import process_for
+from repro.fab.yield_model import merge_buckets, wafer_yield_jobs
 from repro.kernels.kernel import Target
 from repro.kernels.suite import SUITE
 from repro.netlist.cores import build_flexicore4, build_flexicore8
@@ -147,23 +147,34 @@ def format_table3():
 
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _yield_summaries(wafers=6, seed=2022):
-    """Engine-backed multi-wafer Monte Carlo: each core gets its own
-    ``SeedSequence.spawn`` child, each wafer its own grandchild, so the
-    summaries are identical at any worker count."""
-    from repro.engine import spawn_seeds
+#: The report's fabricated cores: (display name, registered core name).
+CORES = (("FlexiCore4", "flexicore4"), ("FlexiCore8", "flexicore8"))
 
-    fc4_seed, fc8_seed = spawn_seeds(seed, 2)
+
+def yield_jobs(wafers=6, seed=2022):
+    """Table 5's wafer jobs as ``{(core display name, wafer index):
+    Job}``: each core gets its own ``SeedSequence.spawn`` child of
+    ``seed``, each wafer its own grandchild."""
     return {
-        "FlexiCore4": run_yield_study(
-            _netlists()["flexicore4"], FC4_WAFER, wafers=wafers,
-            seed=fc4_seed, core="flexicore4",
-        ),
-        "FlexiCore8": run_yield_study(
-            _netlists()["flexicore8"], FC8_WAFER, wafers=wafers,
-            seed=fc8_seed, core="flexicore8",
-        ),
+        (name, index): job
+        for (name, core), child in zip(CORES, spawn_seeds(seed, len(CORES)))
+        for index, job in wafer_yield_jobs(process_for(core), seed=child,
+                                           core=core, wafers=wafers).items()
+    }
+
+
+def yield_summaries(wafers=6, seed=2022):
+    """``{core display name: Table 5 summary}``: the
+    :func:`yield_jobs` results, each core's wafers folded in wafer
+    order, so the summaries are identical at any worker count."""
+    from repro.experiments.figures import run_jobs
+
+    results = run_jobs(yield_jobs(wafers, seed), stage="yield")
+    return {
+        name: merge_buckets(
+            [results[name, index] for index in range(wafers)], (3.0, 4.5)
+        )
+        for name, _ in CORES
     }
 
 
@@ -173,7 +184,7 @@ def table4():
     nl8 = _netlists()["flexicore8"]
     nl4p = build_extended_core(frozenset({"shift", "flags"}),
                                name="flexicore4plus")
-    summaries = _yield_summaries()
+    summaries = yield_summaries()
     # Measured mean power = mean functional current x supply.
     p4 = summaries["FlexiCore4"][4.5]["mean_current_ma"] * 4.5
     p8 = summaries["FlexiCore8"][4.5]["mean_current_ma"] * 4.5
@@ -232,7 +243,7 @@ def format_table4():
 
 def table5(wafers=6, seed=2022):
     """Yield at 3 V / 4.5 V, full wafer vs inclusion zone (Table 5)."""
-    summaries = _yield_summaries(wafers=wafers, seed=seed)
+    summaries = yield_summaries(wafers=wafers, seed=seed)
     result = {}
     for core, summary in summaries.items():
         result[core] = {
@@ -277,9 +288,9 @@ def table6_counts_job(params, seed):
 
 def table6():
     """Benchmark static instruction counts on FlexiCore4 (Table 6)."""
-    from repro.experiments.figures import kernel_study
+    from repro.experiments.figures import kernel_studies
 
-    counts = kernel_study("table6", "flexicore4")
+    counts = kernel_studies()["table6", "flexicore4"]
     return {
         kernel.name: {
             "static_instructions": counts[kernel.name],
@@ -308,7 +319,7 @@ def table7():
     """Comparison to other flexible ICs (Table 7): our measured row plus
     the literature rows the paper quotes."""
     nl4 = _netlists()["flexicore4"]
-    summaries = _yield_summaries()
+    summaries = yield_summaries()
     power_mw = summaries["FlexiCore4"][4.5]["mean_current_ma"] * 4.5
     this_work = {
         "name": "This Work (FlexiCore4)",

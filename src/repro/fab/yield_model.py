@@ -286,7 +286,7 @@ def _probe_bucket(probe):
     return bucket
 
 
-def _merge_buckets(per_wafer, voltages):
+def merge_buckets(per_wafer, voltages):
     """Fold per-wafer buckets into the Table 5 summary, in wafer order
     (so the result is independent of execution order)."""
     summary = {}
@@ -312,19 +312,6 @@ def _merge_buckets(per_wafer, voltages):
             "rsd": std / mean if mean else 0.0,
         }
     return summary
-
-
-@job_function("fab.merge_yield", version="1")
-def merge_yield_job(params, seed):
-    """Engine job: fold per-wafer buckets into the Table 5 summary.
-
-    Runs as the sink node of the yield graph with ``per_wafer``
-    injected from the wafer nodes' results.  Submitted with
-    ``cached=False``: the fold is cheap and its inputs are already
-    cached per wafer, so an extra entry would only dilute hit
-    accounting.
-    """
-    return _merge_buckets(params["per_wafer"], params["voltages"])
 
 
 @lru_cache(maxsize=None)
@@ -618,7 +605,7 @@ def run_gate_yield_study(process, *, seed, core="flexicore4", wafers=5,
         )))
     eng.run_graph(stage=f"gate-yield:{core}")
     results = [wafer for node in nodes for wafer in node.result]
-    summary = _merge_buckets(
+    summary = merge_buckets(
         [result["buckets"] for result in results], tuple(voltages)
     )
     return {"summary": summary, "wafers": results}
@@ -635,20 +622,18 @@ def run_fault_coverage(cores=("flexicore4", "flexicore8"), *, seed,
     defect.  Returns ``{core: {"injected": n, "detected": n,
     "coverage": fraction, "details": [...]}}``.
     """
-    eng = engine_or_default(engine)
-    nodes = [
-        eng.submit(_fault_job(core, child, faults, max_instructions))
+    results = engine_or_default(engine).run([
+        _fault_job(core, child, faults, max_instructions)
         for core, child in zip(cores, spawn_seeds(seed, len(cores)))
-    ]
-    eng.run_graph(stage="fault-coverage")
-    return {core: node.result for core, node in zip(cores, nodes)}
+    ], stage="fault-coverage")
+    return dict(zip(cores, results))
 
 
 def _fault_job(core, child, faults, max_instructions):
     """The fault-injection campaign job for one core.
 
-    Shared by :func:`run_fault_coverage` and the yield graph's fault
-    branch so both address the same cache entries.
+    Shared by :func:`run_fault_coverage` and :func:`run_yield_study`'s
+    fault check so both address the same cache entries.
     """
     return Job(
         fault_study_job,
@@ -657,6 +642,23 @@ def _fault_job(core, child, faults, max_instructions):
         seed=child,
         label=f"faults:{core}",
     )
+
+
+def wafer_yield_jobs(process, *, seed, core, wafers,
+                     voltages=(3.0, 4.5)):
+    """A yield study's wafer jobs as ``{wafer index: Job}``: wafer
+    ``i`` draws from the ``i``-th ``SeedSequence.spawn`` child of
+    ``seed`` (int or :class:`~repro.engine.ChildSeed`)."""
+    return {
+        index: Job(
+            wafer_yield_job,
+            {"core": core, "process": process,
+             "voltages": tuple(voltages)},
+            seed=child,
+            label=f"{core}:wafer{index}",
+        )
+        for index, child in enumerate(spawn_seeds(seed, wafers))
+    }
 
 
 def run_yield_study(netlist, process, *, seed, wafers=5,
@@ -672,10 +674,11 @@ def run_yield_study(netlist, process, *, seed, wafers=5,
 
     ``seed`` (int or :class:`~repro.engine.ChildSeed`) seeds the study:
     each wafer draws from its own ``SeedSequence.spawn`` child, and the
-    wafers run as engine jobs -- parallel over ``--jobs`` workers,
-    cached on disk, and bit-for-bit identical to the serial run.  Jobs
-    rebuild the netlist in the worker, so ``core`` must name a
-    registered core builder (default ``netlist.name``).
+    wafers run as engine jobs (:func:`wafer_yield_jobs`) -- parallel
+    over ``--jobs`` workers, cached on disk, and bit-for-bit identical
+    to the serial run.  Jobs rebuild the netlist in the worker, so
+    ``core`` must name a registered core builder (default
+    ``netlist.name``).
     """
     core = core or getattr(netlist, "name", None)
     from repro.netlist.cores import CORE_BUILDERS
@@ -685,38 +688,18 @@ def run_yield_study(netlist, process, *, seed, wafers=5,
             f"a yield study needs a registered core name (one of "
             f"{', '.join(sorted(CORE_BUILDERS))}), got {core!r}"
         )
-    # One child per wafer plus a spare for the optional fault
-    # campaign, so the two studies never share a seed stream.
-    # Everything goes into one dependency graph: the wafer jobs
-    # and the fault campaign are independent branches that overlap
-    # in the executor, and the merge node streams in as soon as
-    # the last wafer lands (instead of barriering per stage).
-    children = spawn_seeds(seed, wafers + 1)
-    eng = engine_or_default(engine)
-    # The fault campaign is the long pole, so it is submitted (and
-    # therefore dispatched) first; the wafer jobs pack in around it
-    # on the remaining workers.
-    fault_node = None
+    jobs = list(wafer_yield_jobs(process, seed=seed, core=core,
+                                 wafers=wafers, voltages=voltages).values())
+    # The fault campaign draws from the spare child after the wafers',
+    # so the two studies never share a seed stream.  It is the long
+    # pole, so it goes first in the batch (and is dispatched first);
+    # the wafer jobs pack in around it on the remaining workers.
     if fault_check:
-        fault_node = eng.submit(_fault_job(
-            core, children[wafers], fault_check, 300))
-    wafer_nodes = [
-        eng.submit(Job(
-            wafer_yield_job,
-            {"core": core, "process": process,
-             "voltages": tuple(voltages)},
-            seed=child,
-            label=f"{core}:wafer{index}",
-        ))
-        for index, child in enumerate(children[:wafers])
-    ]
-    merge_node = eng.submit(
-        Job(merge_yield_job, {"voltages": tuple(voltages)},
-            label=f"{core}:merge", cached=False),
-        deps={"per_wafer": wafer_nodes},
-    )
-    eng.run_graph(stage=f"yield:{core}")
-    summary = merge_node.result
-    if fault_node is not None:
-        summary["fault_coverage"] = fault_node.result
+        jobs.insert(0, _fault_job(core, spawn_seeds(seed, wafers + 1)[-1],
+                                  fault_check, 300))
+    results = engine_or_default(engine).run(jobs, stage=f"yield:{core}")
+    coverage = results.pop(0) if fault_check else None
+    summary = merge_buckets(results, tuple(voltages))
+    if coverage is not None:
+        summary["fault_coverage"] = coverage
     return summary

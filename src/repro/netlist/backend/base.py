@@ -56,7 +56,8 @@ def lane_fault_list(entry):
     A lane entry is ``None`` (healthy lane), a single
     ``(gate_name, stuck_value)`` pair, or an iterable of such pairs --
     the multi-fault form encodes one die's whole defect draw in one
-    lane.  All backends accept all three forms.
+    lane.  All backends accept all three forms; a gate that one lane
+    names at both stuck values is stuck at 1.
     """
     if entry is None:
         return []

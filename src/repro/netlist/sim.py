@@ -129,7 +129,9 @@ class GateLevelSimulator(SimBackend):
         self.faults.clear()
         for entry in faults:
             for gate_name, stuck in lane_fault_list(entry):
-                self.inject_fault(gate_name, stuck)
+                # Stuck at 1 wins, as in the packed backends' lane masks.
+                self.inject_fault(gate_name,
+                                  stuck | self.faults.get(gate_name, 0))
 
     def clear_faults(self):
         self.faults.clear()

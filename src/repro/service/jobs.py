@@ -74,10 +74,8 @@ class JobContext:
 
     @property
     def cache_hit(self):
-        """True when every *cacheable* engine job of this run came from
-        cache.  Graph runs carry uncached fold nodes (e.g. the yield
-        merge), so the test is "some hits and zero misses" rather than
-        hits == submissions."""
+        """True when every engine job of this run came from the
+        cache: some hits and no misses."""
         engine = self._engine
         if engine is None or engine.cache is None:
             return False
@@ -228,7 +226,7 @@ def _run_yield_study(params, ctx):
 
 
 def _run_wafer_maps(params, ctx):
-    from repro.experiments.figures import _render_grid
+    from repro.experiments import figures
     from repro.fab.process import process_for
     from repro.fab.yield_model import probed_wafer_job
 
@@ -242,18 +240,6 @@ def _run_wafer_maps(params, ctx):
         seed=child, label=f"maps:{core}",
     )
     probes = ctx.engine().run([job], stage=f"maps:{core}")[0]["probes"]
-
-    def render_errors(errors):
-        if errors is None:
-            return " ."
-        if errors == 0:
-            return " O"
-        magnitude = min(9, max(1, len(str(errors))))
-        return f" {magnitude}"
-
-    def render_current(current):
-        return "   ." if current is None else f" {current:3.1f}"
-
     result = {"core": core, "seed": params["seed"], "voltages": {}}
     artifacts = []
     error_parts = [f"Figure 6 (errors/die): {core}"]
@@ -270,12 +256,14 @@ def _run_wafer_maps(params, ctx):
             "dies": len(probe.records),
         }
         error_parts.append(f"\n-- {voltage:g} V --")
-        error_parts.append(_render_grid(error_map, render_errors))
+        error_parts.append(figures.render_grid(error_map,
+                                               figures.render_error_cell))
         current_parts.append(
             f"\n-- {voltage:g} V: mean {mean:.2f} mA, "
             f"rsd {100 * rsd:.1f}% --"
         )
-        current_parts.append(_render_grid(current_map, render_current))
+        current_parts.append(figures.render_grid(
+            current_map, figures.render_current_cell))
     artifacts.append(("figure6.txt", "text/plain; charset=utf-8",
                       "\n".join(error_parts) + "\n"))
     artifacts.append(("figure7.txt", "text/plain; charset=utf-8",

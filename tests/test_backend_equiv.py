@@ -234,6 +234,36 @@ class TestVectorLaneSemantics:
                 sim.read_bus("oport")
             assert packed.toggles(lane) == sim.toggles()
 
+    @pytest.mark.parametrize("core", FAB_CORES)
+    def test_gate_stuck_at_both_values_is_stuck_at_one(self, cores, core):
+        """A die's defect draw can name one gate at both stuck values.
+        Every backend then holds the gate at 1, whichever entry comes
+        first, so the lane equals the lane with the gate stuck at 1."""
+        netlist = cores[core]
+        isa = get_isa(core)
+        rng = np.random.default_rng(43)
+        program = random_program(isa, rng, length=40)
+        inputs = _random_inputs(rng, isa.word_bits, 24)
+        faults = [
+            entry
+            for gate, _ in sample_fault_sites(netlist, rng, 4)
+            for entry in ([(gate, 1), (gate, 0)], [(gate, 0), (gate, 1)],
+                          (gate, 1))
+        ]
+        results = {
+            backend: run_cross_check_batch(
+                netlist, isa, program, inputs=inputs,
+                max_instructions=60, faults=faults, backend=backend,
+            )
+            for backend in ("interpreted", "compiled", "vector")
+        }
+        assert results["compiled"] == results["interpreted"]
+        assert results["vector"] == results["interpreted"]
+        reference = results["interpreted"]
+        for first in range(0, len(faults), 3):
+            assert reference[first] == reference[first + 1] \
+                == reference[first + 2]
+
     @pytest.mark.parametrize("backend_cls, lanes, check", [
         pytest.param(CompiledBackend, WORD_LANES, [0, 1, 31, 63],
                      id="compiled"),

@@ -13,10 +13,16 @@ import pytest
 from repro.dse.designs import ALL_DESIGNS
 from repro.dse.evaluate import evaluate_all
 from repro.engine import Engine, spawn_seeds
-from repro.experiments.figures import engine_wafer_provider
+from repro.experiments.figures import wafer_jobs
 from repro.fab.process import FC4_WAFER, FC8_WAFER
 from repro.fab.yield_model import run_yield_study
 from repro.netlist.cores import build_flexicore4
+
+
+def _wafers(engine):
+    """The Figure 6/7 wafers of seed 2022, run on ``engine``."""
+    jobs = wafer_jobs(2022)
+    return dict(zip(jobs, engine.run(list(jobs.values()))))
 
 
 def _probe_fingerprint(probe):
@@ -33,11 +39,11 @@ def _probe_fingerprint(probe):
 class TestWaferFiguresParallelEqualsSerial:
     @pytest.fixture(scope="class")
     def serial_wafers(self):
-        return engine_wafer_provider(2022, engine=Engine(jobs=1))
+        return _wafers(Engine(jobs=1))
 
     @pytest.fixture(scope="class")
     def parallel_wafers(self):
-        return engine_wafer_provider(2022, engine=Engine(jobs=2))
+        return _wafers(Engine(jobs=2))
 
     def test_same_cores(self, serial_wafers, parallel_wafers):
         assert set(serial_wafers) == set(parallel_wafers) == \
@@ -46,8 +52,11 @@ class TestWaferFiguresParallelEqualsSerial:
     def test_probes_bit_for_bit(self, serial_wafers, parallel_wafers):
         for core in serial_wafers:
             for voltage in (3.0, 4.5):
-                assert _probe_fingerprint(serial_wafers[core][voltage]) \
-                    == _probe_fingerprint(parallel_wafers[core][voltage])
+                assert _probe_fingerprint(
+                    serial_wafers[core]["probes"][voltage]
+                ) == _probe_fingerprint(
+                    parallel_wafers[core]["probes"][voltage]
+                )
 
     def test_fabricated_dies_bit_for_bit(self, serial_wafers,
                                          parallel_wafers):
@@ -63,17 +72,17 @@ class TestWaferFiguresParallelEqualsSerial:
             ]
 
     def test_cached_rerun_identical(self, serial_wafers, tmp_path):
-        cold = engine_wafer_provider(
-            2022, engine=Engine(jobs=1, cache=tmp_path)
-        )
+        cold = _wafers(Engine(jobs=1, cache=tmp_path))
         warm_engine = Engine(jobs=1, cache=tmp_path)
-        warm = engine_wafer_provider(2022, engine=warm_engine)
+        warm = _wafers(warm_engine)
         assert warm_engine.metrics.cache_hits == 2
         for core in serial_wafers:
             for voltage in (3.0, 4.5):
-                assert _probe_fingerprint(serial_wafers[core][voltage]) \
-                    == _probe_fingerprint(cold[core][voltage]) \
-                    == _probe_fingerprint(warm[core][voltage])
+                probes = [wafers[core]["probes"][voltage]
+                          for wafers in (serial_wafers, cold, warm)]
+                assert _probe_fingerprint(probes[0]) \
+                    == _probe_fingerprint(probes[1]) \
+                    == _probe_fingerprint(probes[2])
 
 
 class TestYieldStudyParallelEqualsSerial:
@@ -196,13 +205,13 @@ class TestEvaluateAllParallelEqualsSerial:
 
 class TestTableFigureConsistency:
     def test_yield_summaries_match_direct_study(self):
-        """tables._yield_summaries must agree with calling
+        """tables.yield_summaries must agree with calling
         run_yield_study directly under the same spawned seeds."""
-        from repro.experiments.tables import _netlists, _yield_summaries
+        from repro.experiments.tables import _netlists, yield_summaries
 
         fc4_seed, _ = spawn_seeds(2022, 2)
         direct = run_yield_study(
             _netlists()["flexicore4"], FC4_WAFER, wafers=6,
             seed=fc4_seed, engine=Engine(jobs=2),
         )
-        assert _yield_summaries()["FlexiCore4"] == direct
+        assert yield_summaries()["FlexiCore4"] == direct

@@ -205,14 +205,6 @@ class TestGraphCache:
         assert (a2.status, b2.status) == (CACHED, CACHED)
         assert _ORDER == []
 
-    def test_uncached_node_stays_out_of_the_cache(self, tmp_path):
-        engine = Engine(jobs=1, cache=tmp_path)
-        a = engine.submit(Job(double_job, {"value": 4}))
-        engine.submit(Job(add_job, {"base": 1}, cached=False),
-                      deps={"inputs": [a]})
-        engine.run_graph()
-        assert engine.cache.stats()["entries"] == 1
-
     def test_cancel_mid_graph_leaves_cache_uncorrupted(self, tmp_path):
         """Cancelling between graph nodes must leave only complete,
         loadable cache entries behind (PR 5's crash-safety invariant

@@ -1,21 +1,24 @@
-"""The report's kernel studies as engine jobs: cached ≡ fresh, and a warm
-report computes nothing.
+"""The report's engine jobs: one batch per report, cached ≡ fresh, and a
+warm report computes nothing.
 
 Figure 8's steady-state costs, the Figure 9/10 design points and Table
 6's counts come from the ``experiments.figure8_row``,
 ``dse.feature_point`` and ``experiments.table6_counts`` jobs.  A serial
 cache-less engine and a two-worker cached one give equal results, cold
 and warm, and a report against a cache that a cold report filled
-assembles no kernel and simulates none in its own process.
+assembles no kernel and simulates none in its own process.  Every job
+the report reads runs once per process, in one engine run, however its
+readers spell their arguments.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro import engine as engine_module
 from repro.dse.features import feature_sweep, revised_isa_report
-from repro.experiments import figures, tables
+from repro.experiments import figures, report, tables
 
 #: Runs ``generate()`` against the cache in argv[1], counting every
 #: ``Assembler.assemble`` and ``Simulator.run`` call the way
@@ -36,12 +39,15 @@ def counted(name, original):
 
 Assembler.assemble = counted("assemble", Assembler.assemble)
 Simulator.run = counted("run", Simulator.run)
-engine.configure(jobs=2, cache=sys.argv[1])
+eng = engine.configure(jobs=2, cache=sys.argv[1])
 from repro.experiments.report import generate
 document = generate()
-engine.current_engine().close()
-print(json.dumps({**calls, "document": document,
-                  "misses": engine.current_engine().metrics.cache_misses}))
+pool = eng.executor is not None
+eng.close()
+print(json.dumps({**calls, "document": document, "pool": pool,
+                  "stages": len(eng.metrics.stages),
+                  "submitted": eng.metrics.jobs_submitted,
+                  "misses": eng.metrics.cache_misses}))
 """
 
 
@@ -53,32 +59,75 @@ def test_warm_report_assembles_and_simulates_nothing(
     )
     counts = json.loads(completed.stdout)
     assert counts["document"].encode() == experiments_md
+    # One engine run reads all 47 jobs from the cache, so no pool starts.
+    assert (counts["stages"], counts["submitted"]) == (1, 47)
     assert counts["misses"] == 0
+    assert not counts["pool"]
     assert (counts["assemble"], counts["run"]) == (0, 0)
 
 
 @pytest.fixture
 def default_engine(monkeypatch):
     """``configure(**options)`` for this test alone: the process-wide
-    engine configuration comes back afterwards, and the memos of the
-    kernel-study readers are cleared on both sides."""
-    memos = (figures._kernel_studies, figures.figure8)
+    engine configuration and the report's job memo come back
+    afterwards, and each call starts from an empty memo."""
     monkeypatch.setattr(engine_module, "_config",
                         dict(engine_module._DEFAULTS))
     monkeypatch.setattr(engine_module, "_default_engine", None)
+    monkeypatch.setattr(figures, "_RESULTS", {})
     configured = []
 
     def configure(**options):
-        for memo in memos:
-            memo.cache_clear()
+        figures._RESULTS.clear()
+        figures.figure8.cache_clear()
         configured.append(engine_module.configure(**options))
         return configured[-1]
 
     yield configure
     for engine in configured:
         engine.close()
-    for memo in memos:
-        memo.cache_clear()
+    figures.figure8.cache_clear()
+
+
+@pytest.fixture
+def executed(default_engine):
+    """``(counts, engine)``: a serial cache-less default engine and the
+    jobs it computes, counted by registered name."""
+    counts = Counter()
+
+    def count(event, payload):
+        if event == "job_done" and payload["status"] == "completed":
+            counts[payload["fn"]] += 1
+
+    return counts, default_engine(hooks=[count])
+
+
+def test_cacheless_report_runs_each_job_once(executed, experiments_md):
+    counts, engine = executed
+    assert report.generate().encode() == experiments_md
+    assert dict(counts) == {
+        "fab.wafer_yield": 12, "fab.probed_wafer": 2,
+        "experiments.figure8_row": 8, "dse.feature_point": 10,
+        "experiments.table6_counts": 1, "dse.evaluate_design": 14,
+    }
+    assert [stage.stage for stage in engine.metrics.stages] == ["report"]
+
+
+def test_yield_readers_share_one_study(executed):
+    counts, _ = executed
+    tables.table4()
+    tables.table5()
+    tables.table5(wafers=6, seed=2022)
+    tables.table7()
+    assert dict(counts) == {"fab.wafer_yield": 12}
+
+
+def test_wafer_readers_share_one_wafer_per_core(executed):
+    counts, _ = executed
+    figures.figure6()
+    figures.figure7(2022)
+    report.format_usage_variation()
+    assert dict(counts) == {"fab.probed_wafer": 2}
 
 
 def _readers():
