@@ -1,14 +1,16 @@
 """Gate-level simulation backend benchmarks.
 
-Two acceptance properties, one per packed backend:
+Two acceptance properties, one per packed backend name:
 
-- **Compiled vs interpreted** (the 20-fault campaign): one 64-lane
-  batched run is at least 10x faster than the interpreted reference,
-  which cross-checks the 20 faults one serial run at a time.
-- **Vector vs compiled** (the wafer-scale campaign): a multi-thousand
-  lane campaign through the vector backend -- every lane advanced by
-  one NumPy settle pass -- is at least 10x faster than the same
-  campaign chunked through 64-lane compiled runs.
+- **Compiled vs interpreted** (the 20-fault campaign, which counts no
+  toggles, as ``fault_injection_study`` never reads them): one batched
+  run is at least 10x faster than the interpreted reference, which
+  cross-checks the 20 faults one serial run at a time.
+- **Vector vs compiled** (the wafer-scale campaign, toggles counted):
+  both names run the same straight-line kernel over lane-wide Python
+  ints, so this times one multi-thousand-lane run -- every lane
+  advanced by one settle pass -- against the same campaign chunked
+  into 64-lane runs, and it must be at least 10x faster.
 
 Both comparisons require bit-identical results before any timing
 counts.
@@ -146,7 +148,7 @@ def _run_wafer(backend, netlist, isa, program, inputs, faults):
 
 class TestWaferScaleSpeedup:
     def test_vector_campaign_is_10x_faster_than_chunked(self):
-        """Acceptance: one vector run beats the 64-lane chunk loop 10x
+        """Acceptance: one wide run beats the 64-lane chunk loop 10x
         at wafer scale, with lane-for-lane identical results."""
         netlist = build_flexicore4()
         isa = get_isa("flexicore4")

@@ -10,9 +10,9 @@ exactly:
 - ``backend``   -- interpreted vs compiled gate-level backend
   (per-lane mismatch counts, first-mismatch text, cycle counts, and
   toggle statistics, healthy lane plus injected stuck-at faults);
-- ``vector``    -- compiled vs vector (wafer-scale NumPy) gate-level
-  backend, same observables as ``backend`` but with campaigns sized
-  to cross the vector backend's 64-lane word boundary;
+- ``vector``    -- compiled vs vector gate-level backend: one kernel,
+  so 64-lane chunked runs against one wide run, same observables as
+  ``backend`` but with campaigns sized to pack lanes past bit 63;
 - ``cache``     -- a job result computed directly, computed through the
   engine into a fresh cache, and read back from that cache;
 - ``fab``       -- the field-batched wafer Monte Carlo vs the scalar
@@ -238,8 +238,8 @@ def generate_vector(target, rng):
     payload["max_instructions"] = int(rng.integers(12, 40))
     netlist = _gate_core_for(target)
     # Mostly small campaigns, but often enough faults that the vector
-    # backend's lanes spill past bit 63 into the second uint64 word --
-    # the packing arithmetic the compiled backend never exercises.
+    # run packs lanes past bit 63 of its lane ints, which the compiled
+    # side runs as a second 64-lane chunk.
     if rng.random() < 0.25:
         count = int(rng.integers(60, 97))
     else:

@@ -386,7 +386,8 @@ def gate_probe_wafer(netlist, isa, wafers, voltages=(3.0, 4.5), *,
     :func:`~repro.netlist.verify.run_cross_check_batch` campaign, each
     lane fed its own wafer's IPORT stream -- under the vector backend
     (``backend=None`` picks it for more than 64 dies), one settle pass
-    advances every die at once.  The campaign draws no randomness, so
+    advances every die at once.  Only mismatch counts are read, so the
+    campaign counts no toggles.  The campaign draws no randomness, so
     a wafer's draws and results do not depend on which wafers share
     its campaign.  Mismatch counts are voltage-independent (a stuck
     gate fails the vectors at any supply), so one gate campaign serves
@@ -428,7 +429,7 @@ def gate_probe_wafer(netlist, isa, wafers, voltages=(3.0, 4.5), *,
         outcomes = run_cross_check_batch(
             netlist, isa, directed_program(isa),
             max_instructions=max_instructions, faults=lane_faults,
-            backend=backend, lane_inputs=lane_inputs,
+            backend=backend, lane_inputs=lane_inputs, toggles=False,
         )
     mismatches = np.array(
         [outcome.mismatches for outcome in outcomes], dtype=np.int64

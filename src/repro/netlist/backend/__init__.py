@@ -1,24 +1,25 @@
 """Gate-level simulation backends behind one interface.
 
-Three implementations of :class:`SimBackend`:
+Three registered names for two implementations of :class:`SimBackend`:
 
 - ``"interpreted"`` -- the per-gate dict interpreter
   (:class:`~repro.netlist.sim.GateLevelSimulator`), one lane per
   instance, kept as the bit-exact reference;
 - ``"compiled"`` -- the levelized bit-parallel evaluator
-  (:class:`CompiledBackend`), packing up to 64 independent fault lanes
-  into the bits of 64-bit words, so one settle pass simulates a whole
-  fault campaign chunk;
-- ``"vector"`` -- the wafer-scale evaluator (:class:`VectorBackend`),
-  generalizing the packing to NumPy ``uint64`` lane arrays of shape
-  ``(words,)`` per net, so capacity is ``64 x words`` lanes and one
-  settle pass advances every die on a wafer.
+  (:class:`CompiledBackend`): a straight-line settle kernel over
+  lane-wide Python ints, bit ``l`` of a net's int being lane ``l``, so
+  one settle pass advances a whole fault campaign chunk; capped at 64
+  lanes, one machine word;
+- ``"vector"`` -- the same class with a wafer-scale cap
+  (:class:`VectorBackend`, up to :data:`VECTOR_MAX_LANES` lanes), so one
+  settle pass advances every die of a multi-wafer campaign.
 
 Consumers (cross-checks, fault campaigns, toggle studies) name a
 backend, or pass ``None`` to pick one from the lane count:
 ``compiled`` up to 64 lanes, ``vector`` above (:func:`resolve_backend`).
-See ``docs/GATESIM.md`` for lane packing, levelization, and the
-measurements behind that rule.
+Since both packed names run one kernel, the rule decides only how a
+campaign is chunked.  See ``docs/GATESIM.md`` for lane packing,
+levelization, and the measurements behind that rule.
 """
 
 from repro.netlist.backend.base import (
@@ -29,19 +30,18 @@ from repro.netlist.backend.base import (
     resolve_backend,
 )
 from repro.netlist.backend.compiled import (
-    FULL_MASK,
+    VECTOR_MAX_LANES,
     WORD_LANES,
     CompiledBackend,
+    VectorBackend,
 )
 from repro.netlist.sim import GateLevelSimulator
-from repro.netlist.backend.vector import VECTOR_MAX_LANES, VectorBackend
 from repro.netlist.levelize import CombinationalLoopError, levelize
 
 __all__ = [
     "BACKENDS",
     "CombinationalLoopError",
     "CompiledBackend",
-    "FULL_MASK",
     "GateLevelSimulator",
     "SimBackend",
     "VECTOR_MAX_LANES",

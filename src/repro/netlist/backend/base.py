@@ -4,11 +4,11 @@ A backend evaluates a gate-level netlist over one or more *lanes*.  A
 lane is one independent simulation of the design: same stimulus, but
 its own injected stuck-at faults and its own toggle counts.  The
 interpreted backend runs one lane per instance (the bit-exact
-reference); the compiled backend packs up to 64 lanes into the bits of
-machine words, so one settle pass advances 64 fault candidates or
-Monte Carlo dies at once; the vector backend generalizes the packing
-to NumPy ``uint64`` lane arrays, lifting capacity to ``64 x words``
-lanes so a single settle pass evaluates every die on a wafer.
+reference); the compiled backend packs lanes into the bits of
+lane-wide Python ints, so one settle pass advances a whole fault
+campaign chunk or every die of several wafers at once.  ``compiled``
+and ``vector`` are that one kernel with a 64-lane and a 65,536-lane
+cap.
 
 Consumers address backends by name (``"interpreted"`` /
 ``"compiled"`` / ``"vector"``) through :func:`make_backend`; ``None``
@@ -31,8 +31,9 @@ def resolve_backend(name, lanes=1):
     """Map a backend spec to a registered class.
 
     ``None`` chooses from the lane count: ``compiled`` while the lanes
-    fit its one 64-bit word, ``vector`` above, where a 65th lane would
-    cost ``compiled`` a second run (timings in docs/GATESIM.md).
+    fit one 64-bit word, ``vector`` above.  Both names run one kernel,
+    so the choice decides only how many runs a campaign is chunked
+    into (docs/GATESIM.md).
     """
     if name is None:
         fits = lanes <= BACKENDS["compiled"].max_lanes
@@ -77,7 +78,10 @@ class SimBackend(ABC):
     per-lane inputs, :meth:`set_input_lanes`); faults and observed
     state (net values, toggle counts, mismatches) are per-lane.
     ``lanes`` is fixed at construction and bounded by ``max_lanes``;
-    campaign drivers chunk their fault lists accordingly.
+    campaign drivers chunk their fault lists accordingly.  Every
+    backend is constructed as ``cls(netlist, lanes=1, toggles=True)``;
+    one built with ``toggles=False`` keeps no toggle counters, and its
+    :meth:`toggles` and :meth:`toggle_coverage_lanes` raise.
     """
 
     #: Registry name; subclasses override.
@@ -168,7 +172,8 @@ class SimBackend(ABC):
 
     @abstractmethod
     def toggles(self, lane=0):
-        """{gate name: toggle count} for one lane."""
+        """{gate name: toggle count} for one lane.  Raises
+        ``RuntimeError`` on a backend built with ``toggles=False``."""
 
     def toggle_coverage(self, lane=0):
         """(fraction of gates that toggled, mean toggles per gate)."""
@@ -208,12 +213,16 @@ class SimBackend(ABC):
 
     def _bus_nets(self, stem):
         """Net indices of ``stem0..N`` (empty when no such bus)."""
-        nets = []
-        while True:
-            index = self._net_ids.get(f"{stem}{len(nets)}")
-            if index is None:
-                return nets
-            nets.append(index)
+        nets = self._bus_cache.get(stem)
+        if nets is None:
+            nets = []
+            while True:
+                index = self._net_ids.get(f"{stem}{len(nets)}")
+                if index is None:
+                    break
+                nets.append(index)
+            self._bus_cache[stem] = nets
+        return nets
 
     def _bus_ids(self, stem, width):
         key = (stem, width)

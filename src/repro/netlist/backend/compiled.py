@@ -1,28 +1,43 @@
-"""Bit-parallel compiled backend: 64 simulation lanes per settle pass.
+"""Bit-parallel compiled backend: one lane per bit of a lane-wide int.
 
-The netlist is *compiled* once: gates are levelized into flat index
-arrays over a dense net numbering, and the levelized program is
-specialized into a straight-line settle kernel where every gate is one
-or two bitwise operations on 64-bit integer words.  Bit ``l`` of a
-net's word is that net's value in lane ``l`` -- the classic
-parallel-fault-simulation packing -- so a single pass through the
-kernel advances up to 64 independent stuck-at faults (or Monte Carlo
-dies) at once.
+The netlist is *compiled* once: gates are levelized over a dense net
+numbering, and the levelized program is specialized into a
+straight-line settle kernel where every gate is one or two bitwise
+operations on Python integers.  Bit ``l`` of a net's int is that net's
+value in lane ``l`` -- the classic parallel-fault-simulation packing --
+and a CPython int of any width is already a packed lane array whose
+bitwise ops cost about 50 ns, so a single pass through the kernel
+advances 64 fault candidates or a 65,536-die campaign alike.  The
+``compiled`` and ``vector`` backends are this one class with two lane
+caps (64, one machine word, and :data:`VECTOR_MAX_LANES`); the cap
+decides only how :func:`~repro.netlist.verify.run_cross_check_batch`
+chunks a campaign.
 
 Stuck-at faults are burned into the kernel as per-gate lane masks
-(``out = (f(out) & ~mask) | stuck``), which keeps the hot loop
-branch-free; installing a new fault set just re-specializes the kernel
-(a few milliseconds, once per 64-fault chunk).  Toggle counting stays
-exact per lane: each counted pass records every gate's change word
-(``old ^ new``) and accumulates the unpacked bits into a
-``(gates, 64)`` counter matrix with numpy bitwise ops, so per-gate
-per-lane toggle counts match the interpreted reference bit for bit.
+(``out = (f(out) & keep) | stuck``), bound as kernel globals rather
+than emitted as literals (CPython refuses a decimal literal past 4,300
+digits, about 14,300 lanes), which keeps the hot loop branch-free.  The
+kernel is compiled once per fault set, on first use: the settle a
+constructor or :meth:`set_fault_lanes` owes runs when the state is next
+used, so a campaign chunk that installs its faults right after
+construction compiles one kernel.
+
+Toggle counting stays exact per lane.  A counted settle diffs the
+combinational outputs, which are numbered contiguously in levelized
+order, around the kernel (``old ^ new`` over one list slice), and adds
+the change ints into bit-plane counters: plane ``p`` holds bit ``p`` of
+every (gate, lane) count as one lane-wide int per gate.  Per-gate
+per-lane counts match the interpreted reference bit for bit.  A backend
+built with ``toggles=False`` keeps no counters at all.
 
 Observability is lane-adjusted: a settle pass over ``lanes`` lanes is
 charged as ``lanes`` passes (and ``lanes * gates`` evaluations), so
 ``gate_evaluations_total`` from a batched campaign equals the serial
 total.
 """
+
+from functools import reduce
+from operator import or_, xor
 
 import numpy as np
 
@@ -34,13 +49,19 @@ from repro.netlist.backend.base import (
 )
 from repro.netlist.levelize import levelize
 
-#: Lanes packed into one machine word (one bit per lane).
+#: Lanes of one machine word: the ``compiled`` cap, up to which
+#: :func:`~repro.netlist.backend.resolve_backend` picks ``compiled``.
 WORD_LANES = 64
-#: All-lanes-high word; doubles as the constant-1 net value.
-FULL_MASK = (1 << WORD_LANES) - 1
+#: Lane cap of the ``vector`` backend.  Soft bound: state is one
+#: ``lanes``-bit int per net, plus one per gate per toggle bit-plane,
+#: so 64k lanes of a 256-gate core is a few megabytes.
+VECTOR_MAX_LANES = 1 << 16
 
-#: Cell function -> bitwise expression template over input words
-#: {a}, {b}, {c} and the all-ones mask M.
+#: 2**b for every bus bit b: the weights of a bus's per-lane bit rows.
+_POWERS = np.left_shift(1, np.arange(63), dtype=np.int64)
+
+#: Cell function -> bitwise expression template over input ints
+#: {a}, {b}, {c} and the all-lanes mask M.
 _EXPRESSIONS = {
     "buf": "{a}",
     "inv": "{a} ^ M",
@@ -55,109 +76,92 @@ _EXPRESSIONS = {
 
 @register_backend
 class CompiledBackend(SimBackend):
-    """Levelized, word-packed evaluation of up to 64 lanes."""
+    """Levelized, int-packed evaluation of up to 64 lanes."""
 
     name = "compiled"
     max_lanes = WORD_LANES
 
-    def __init__(self, netlist, lanes=1):
-        if not 1 <= lanes <= WORD_LANES:
+    def __init__(self, netlist, lanes=1, toggles=True):
+        if not 1 <= lanes <= self.max_lanes:
             raise ValueError(
-                f"compiled backend supports 1..{WORD_LANES} lanes, "
-                f"got {lanes}"
+                f"{self.name} backend supports 1..{self.max_lanes} "
+                f"lanes, got {lanes}"
             )
         netlist.validate()
         self.netlist = netlist
         self._lanes = lanes
+        #: All-lanes-high int; doubles as the constant-1 net value.
+        self._mask = (1 << lanes) - 1
         self._comb = levelize(netlist)
         self._flops = [g for g in netlist.gates if g.sequential]
         self._gate_names = {g.name for g in netlist.gates}
 
-        # Dense net numbering: constants, primary inputs, gate outputs.
+        # Dense net numbering: constants, primary inputs, comb outputs
+        # in levelized order, flop outputs -- so the comb outputs and
+        # the flop outputs are each one contiguous slice of the state.
         ids = {}
         for net in netlist.constants:
             ids.setdefault(net, len(ids))
         for net in netlist.inputs:
             ids.setdefault(net, len(ids))
-        for gate in netlist.gates:
-            ids.setdefault(gate.output, len(ids))
+        self._comb_lo = len(ids)
+        for gate in self._comb:
+            ids[gate.output] = len(ids)
+        self._flop_lo = len(ids)
+        for gate in self._flops:
+            ids[gate.output] = len(ids)
         self._net_ids = ids
+        self._bus_cache = {}
+        self._flop_d = [ids[g.inputs[0]] for g in self._flops]
 
-        # Flat levelized index arrays: the compiled program.  The
-        # generated kernel is a specialization of exactly these arrays.
-        self._comb_out = np.array(
-            [ids[g.output] for g in self._comb], dtype=np.int32
-        )
-        self._comb_in = [
-            np.array([ids[n] for n in g.inputs], dtype=np.int32)
-            for g in self._comb
-        ]
-        self._flop_dq = [
-            (ids[g.inputs[0]], ids[g.output]) for g in self._flops
-        ]
-
-        # Toggle counters: rows are comb gates (levelized order) then
-        # flops; one column per lane.
+        # Toggle rows: comb gates (levelized order) then flops.
         self._row_names = [g.name for g in self._comb] + [
             g.name for g in self._flops
         ]
-        count = len(self._row_names)
         self._n_comb = len(self._comb)
-        # Sized by the active lane count, not WORD_LANES: a 10-lane
-        # final chunk should not pay for 54 idle padding columns.
-        self._toggle_bits = np.zeros((count, lanes), dtype=np.uint64)
-        self._shifts = np.arange(WORD_LANES, dtype=np.uint64)
-        self._one = np.uint64(1)
-        self._comb_changed = [0] * self._n_comb
-        self._flop_changed = [0] * len(self._flops)
+        #: Bit-plane toggle counters, grown as counts cross powers of
+        #: two; None when built without counters.
+        self._planes = [] if toggles else None
 
-        #: Per-gate fault patches: {gate name: [lane mask, stuck word]}.
+        #: {comb position: (lane mask, stuck lanes)}.
         self._comb_fault = {}
+        #: {flop position: (lane mask, stuck lanes)}.
         self._flop_fault = {}
+        self._kernel = None   # compiled on first use per fault set
+        self._pending = False  # an uncounted settle is owed
 
         self._cycles = 0
         self.gate_evaluations = 0
         self.settle_passes = 0
 
-        # Net state: one 64-lane word per net.
+        # Net state: one lane-wide int per net.
         self._state = [0] * len(ids)
         for net, value in netlist.constants.items():
-            self._state[ids[net]] = FULL_MASK if value else 0
-        self._bus_cache = {}
-
-        self._specialize()
-        self._settle(count=False)
+            self._state[ids[net]] = self._mask if value else 0
+        self._owe_settle(lanes)
 
     # -- kernel specialization ----------------------------------------
 
-    def _specialize(self):
-        self._kernel_count = self._generate(count=True)
-        self._kernel_nocount = self._generate(count=False)
-
-    def _generate(self, count):
-        """Emit and compile one straight-line settle kernel."""
-        lines = ["def kernel(V, T):" if count else "def kernel(V):",
-                 f"    M = {FULL_MASK}"]
+    def _generate(self):
+        """Emit and compile the straight-line settle kernel for the
+        installed faults."""
+        ids, mask = self._net_ids, self._mask
+        namespace = {"_M": mask}
+        lines = ["def kernel(V):", "    M = _M"]
         for position, gate in enumerate(self._comb):
             operands = {
-                key: f"V[{net}]"
-                for key, net in zip("abc", self._comb_in[position])
+                key: f"V[{ids[net]}]" for key, net in zip("abc", gate.inputs)
             }
             expr = _EXPRESSIONS[gate.cell.function].format(**operands)
-            patch = self._comb_fault.get(gate.name)
-            if patch is not None:
-                mask, stuck = patch
-                expr = f"(({expr}) & {FULL_MASK ^ mask}) | {stuck}"
-            out = self._comb_out[position]
-            if count:
-                lines.append(f"    t = {expr}")
-                lines.append(f"    T[{position}] = V[{out}] ^ t")
-                lines.append(f"    V[{out}] = t")
-            else:
-                lines.append(f"    V[{out}] = {expr}")
-        namespace = {}
+            fault = self._comb_fault.get(position)
+            if fault is not None:
+                lanes, stuck = fault
+                namespace[f"K{position}"] = mask ^ lanes
+                namespace[f"S{position}"] = stuck
+                expr = f"(({expr}) & K{position}) | S{position}"
+            lines.append(f"    V[{self._comb_lo + position}] = {expr}")
         exec(compile("\n".join(lines),
-                     f"<compiled:{self.netlist.name}>", "exec"), namespace)
+                     f"<{self.name}:{self.netlist.name}>", "exec"), namespace)
         return namespace["kernel"]
 
     # -- SimBackend interface -----------------------------------------
@@ -171,32 +175,28 @@ class CompiledBackend(SimBackend):
         return self._cycles
 
     def set_inputs(self, assignments):
-        state, ids = self._state, self._net_ids
+        self._sync()
+        state, ids, mask = self._state, self._net_ids, self._mask
         for name, value in assignments.items():
             index = ids.get(name)
             if index is not None:
                 self._validate_scalar(name, value)
-                state[index] = FULL_MASK if value else 0
+                state[index] = mask if value else 0
                 continue
             bus = self._bus_nets(name)
             if not bus:
                 raise KeyError(f"no such input '{name}'")
             self._validate_bus(name, len(bus), value)
             for bit, net_index in enumerate(bus):
-                state[net_index] = (
-                    FULL_MASK if (value >> bit) & 1 else 0
-                )
+                state[net_index] = mask if (value >> bit) & 1 else 0
 
     def set_input_lanes(self, assignments):
         """Per-lane stimulus: one value per lane for each named input,
-        so one run of up to 64 lanes can carry several input streams
-        (see :meth:`SimBackend.set_input_lanes`)."""
-        shifts = self._shifts[:self._lanes]
+        so one run can carry several input streams -- each lane (die)
+        sees its own value (see :meth:`SimBackend.set_input_lanes`)."""
+        self._sync()
         for nets, bits in self._lane_input_bits(assignments):
-            words = np.bitwise_or.reduce(
-                bits.astype(np.uint64) << shifts, axis=1
-            )
-            for index, word in zip(nets, words.tolist()):
+            for index, word in zip(nets, self._pack(bits)):
                 self._state[index] = word
 
     def set_fault_lanes(self, faults):
@@ -206,82 +206,87 @@ class CompiledBackend(SimBackend):
                 f"{len(faults)} fault lanes for a "
                 f"{self._lanes}-lane backend"
             )
-        self._comb_fault = {}
-        self._flop_fault = {}
+        comb_positions = {g.name: i for i, g in enumerate(self._comb)}
         flop_positions = {g.name: i for i, g in enumerate(self._flops)}
+        comb_fault, flop_fault = {}, {}
         injected = 0
         for lane, entry in enumerate(faults):
             for gate_name, stuck in lane_fault_list(entry):
                 if gate_name not in self._gate_names:
                     raise KeyError(f"no gate named '{gate_name}'")
                 injected += 1
-                table = (self._flop_fault if gate_name in flop_positions
-                         else self._comb_fault)
-                key = (flop_positions[gate_name]
-                       if gate_name in flop_positions else gate_name)
+                if gate_name in flop_positions:
+                    table, key = flop_fault, flop_positions[gate_name]
+                else:
+                    table, key = comb_fault, comb_positions[gate_name]
+                # OR-ing the stuck lanes holds a gate named at both
+                # values at 1.
                 mask, value = table.get(key, (0, 0))
-                mask |= 1 << lane
-                if stuck & 1:
-                    value |= 1 << lane
-                table[key] = (mask, value)
-        self._specialize()
+                table[key] = (mask | 1 << lane, value | (stuck & 1) << lane)
+        if not injected:
+            self._sync()  # the owed settle ran under the old faults
+        self._comb_fault, self._flop_fault = comb_fault, flop_fault
+        self._kernel = None
         if injected:
             # Mirror the interpreter's inject_fault(): propagate the
             # faults without counting toggles, charging one settle per
             # injected fault (the serial reference settles once per
             # injection).
-            self._settle(count=False, charge_lanes=injected)
+            self._owe_settle(injected)
 
     def clear_faults(self):
-        had_faults = bool(self._comb_fault or self._flop_fault)
-        self._comb_fault = {}
-        self._flop_fault = {}
-        self._specialize()
-        if had_faults:
-            self._settle(count=False)
+        if self._comb_fault or self._flop_fault:
+            self._comb_fault, self._flop_fault = {}, {}
+            self._kernel = None
+            self._owe_settle(self._lanes)
 
     def step(self):
-        self._settle(count=True)
+        self._sync()
+        self._settle()
         self._edge()
         self._cycles += 1
-        self._settle(count=True)
+        self._settle()
 
     def read_net(self, net, lane=0):
         self._check_lane(lane)
+        self._sync()
         return (self._state[self._net_ids[net]] >> lane) & 1
 
     def read_bus(self, stem, width=None, lane=0):
         self._check_lane(lane)
+        self._sync()
         value = 0
         for bit, index in enumerate(self._bus_ids(stem, width)):
             value |= ((self._state[index] >> lane) & 1) << bit
         return value
 
     def read_bus_lane_array(self, stem, width=None):
+        self._sync()
         indices = self._bus_ids(stem, width)
-        words = np.array([self._state[i] for i in indices],
-                         dtype=np.uint64)
-        bits = (words[:, None] >> self._shifts) & self._one
-        powers = np.left_shift(1, np.arange(len(indices)),
-                               dtype=np.int64)
-        values = bits.astype(np.int64).T @ powers
-        return values[:self._lanes]
+        bits = self._unpack([self._state[i] for i in indices])
+        return _POWERS[:len(indices)] @ bits
 
     def read_bus_lanes(self, stem, width=None):
         return self.read_bus_lane_array(stem, width).tolist()
 
     def toggles(self, lane=0):
         self._check_lane(lane)
-        column = self._toggle_bits[:, lane]
-        return {name: int(count)
-                for name, count in zip(self._row_names, column)}
+        planes = self._toggle_planes()
+        return {
+            name: sum(((plane[row] >> lane) & 1) << depth
+                      for depth, plane in enumerate(planes))
+            for row, name in enumerate(self._row_names)
+        }
 
     def toggle_coverage_lanes(self):
-        counts = self._toggle_bits
+        planes = self._toggle_planes()
         total = len(self._row_names) or 1
-        fractions = np.count_nonzero(counts, axis=0) / total
-        means = counts.sum(axis=0, dtype=np.int64) / total
-        return fractions, means
+        sums = np.zeros(self._lanes, dtype=np.int64)
+        for depth, plane in enumerate(planes):
+            sums += self._unpack(plane).sum(axis=0, dtype=np.int64) << depth
+        toggled = [reduce(or_, counts) for counts in zip(*planes)]
+        fractions = self._unpack(toggled).sum(axis=0, dtype=np.int64) / total
+        return fractions, sums / total
 
     def flush_obs(self):
         if not obs.active():
@@ -303,35 +308,104 @@ class CompiledBackend(SimBackend):
 
     # -- evaluation ----------------------------------------------------
 
-    def _settle(self, count=True, charge_lanes=None):
-        charge = self._lanes if charge_lanes is None else charge_lanes
-        self.settle_passes += charge
-        self.gate_evaluations += self._n_comb * charge
-        if count:
-            changed = self._comb_changed
-            self._kernel_count(self._state, changed)
-            self._accumulate(changed, 0)
-        else:
-            self._kernel_nocount(self._state)
+    def _charge(self, lanes):
+        self.settle_passes += lanes
+        self.gate_evaluations += self._n_comb * lanes
+
+    def _owe_settle(self, charge):
+        """Charge an uncounted settle now and run it when the state is
+        next used; a fault install before then supersedes it, since
+        every settle rewrites every combinational net."""
+        self._charge(charge)
+        self._pending = True
+
+    def _sync(self):
+        """Run the owed settle, if any."""
+        if self._pending:
+            self._pending = False
+            self._run_kernel()
+
+    def _run_kernel(self):
+        if self._kernel is None:
+            self._kernel = self._generate()
+        self._kernel(self._state)
+
+    def _settle(self):
+        """One counted settle pass."""
+        self._charge(self._lanes)
+        if self._planes is None:
+            self._run_kernel()
+            return
+        state, lo, hi = self._state, self._comb_lo, self._flop_lo
+        old = state[lo:hi]
+        self._run_kernel()
+        self._accumulate(map(xor, old, state[lo:hi]), 0)
 
     def _edge(self):
-        state = self._state
-        new = [state[d] for d, _ in self._flop_dq]
-        for position, (mask, stuck) in self._flop_fault.items():
-            new[position] = (new[position] & (FULL_MASK ^ mask)) | stuck
-        changed = self._flop_changed
-        for position, (_, q) in enumerate(self._flop_dq):
-            changed[position] = state[q] ^ new[position]
-            state[q] = new[position]
-        if changed:
-            self._accumulate(changed, self._n_comb)
+        state, mask = self._state, self._mask
+        new = [state[d] for d in self._flop_d]
+        for position, (lanes, stuck) in self._flop_fault.items():
+            new[position] = (new[position] & (mask ^ lanes)) | stuck
+        lo, hi = self._flop_lo, self._flop_lo + len(new)
+        if self._planes is not None:
+            self._accumulate(map(xor, state[lo:hi], new), self._n_comb)
+        state[lo:hi] = new
 
-    def _accumulate(self, changed, row_offset):
-        words = np.array(changed, dtype=np.uint64)
-        rows = slice(row_offset, row_offset + len(changed))
-        self._toggle_bits[rows] += (
-            (words[:, None] >> self._shifts[:self._lanes]) & self._one
-        )
+    def _accumulate(self, changes, row):
+        """Add one to every (row, lane) counter whose change bit is set:
+        a ripple-carry add per row, where plane ``p`` absorbs the carry
+        and forwards it where its bit was already set."""
+        planes = self._planes
+        for row, carry in enumerate(changes, row):
+            if not carry:
+                continue
+            for plane in planes:
+                held = plane[row]
+                plane[row] = held ^ carry
+                carry &= held
+                if not carry:
+                    break
+            else:  # a count crossed a power of two: one more plane
+                plane = [0] * len(self._row_names)
+                plane[row] = carry
+                planes.append(plane)
+
+    def _toggle_planes(self):
+        if self._planes is None:
+            raise RuntimeError(
+                f"this {self.name} backend was built with toggles=False "
+                f"and keeps no toggle counters"
+            )
+        return self._planes
+
+    def _unpack(self, words):
+        """Lane bits of lane-wide ints as a ``(len(words), lanes)`` uint8
+        matrix, lane ``l`` at column ``l``."""
+        size = (self._lanes + 7) // 8
+        raw = np.frombuffer(
+            b"".join([word.to_bytes(size, "little") for word in words]),
+            dtype=np.uint8,
+        ).reshape(len(words), size)
+        return np.unpackbits(raw, axis=1, bitorder="little")[:, :self._lanes]
+
+    def _pack(self, bits):
+        """Pack a ``(rows, lanes)`` 0/1 matrix into one lane-wide int per
+        row (the inverse of :meth:`_unpack`)."""
+        size = (self._lanes + 7) // 8
+        raw = np.packbits(
+            bits.astype(np.uint8), axis=1, bitorder="little"
+        ).tobytes()
+        return [int.from_bytes(raw[start:start + size], "little")
+                for start in range(0, len(raw), size)]
 
     # Bus and lane helpers (`_bus_nets`, `_bus_ids`, `_check_lane`)
-    # are shared with the vector backend and live on SimBackend.
+    # live on SimBackend.
+
+
+@register_backend
+class VectorBackend(CompiledBackend):
+    """The same kernel with a wafer-scale lane cap: one run advances
+    every die of a multi-wafer campaign."""
+
+    name = "vector"
+    max_lanes = VECTOR_MAX_LANES

@@ -50,7 +50,7 @@ class GateLevelSimulator(SimBackend):
     name = "interpreted"
     max_lanes = 1
 
-    def __init__(self, netlist: Netlist, lanes=1):
+    def __init__(self, netlist: Netlist, lanes=1, toggles=True):
         if lanes != 1:
             raise ValueError(
                 f"the interpreted backend is single-lane, got lanes={lanes}"
@@ -65,7 +65,10 @@ class GateLevelSimulator(SimBackend):
         for flop in self._flops:
             self.values[flop.output] = 0
         self._order = levelize(netlist)
-        self._toggles = {gate.name: 0 for gate in netlist.gates}
+        #: {gate name: toggle count}; None when built without counters.
+        self._toggles = (
+            {gate.name: 0 for gate in netlist.gates} if toggles else None
+        )
         self._cycles = 0
         #: Local observability tallies (two integer adds per settle
         #: pass -- cheap enough to keep unconditionally).  Folded into
@@ -139,6 +142,7 @@ class GateLevelSimulator(SimBackend):
 
     def _settle(self, count_toggles=True):
         faults = self.faults
+        count_toggles = count_toggles and self._toggles is not None
         self.settle_passes += 1
         self.gate_evaluations += len(self._order)
         for gate in self._order:
@@ -158,7 +162,8 @@ class GateLevelSimulator(SimBackend):
             new = self.values[flop.inputs[0]]
             if self.faults and flop.name in self.faults:
                 new = self.faults[flop.name]
-            if new != self.values[flop.output]:
+            if (self._toggles is not None
+                    and new != self.values[flop.output]):
                 self._toggles[flop.name] += 1
             updates.append((flop.output, new))
         for net, value in updates:
@@ -196,6 +201,11 @@ class GateLevelSimulator(SimBackend):
 
     def toggles(self, lane=0):
         self._check_lane(lane)
+        if self._toggles is None:
+            raise RuntimeError(
+                "this interpreted backend was built with toggles=False "
+                "and keeps no toggle counters"
+            )
         return dict(self._toggles)
 
     def flush_obs(self):

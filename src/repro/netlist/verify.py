@@ -32,8 +32,9 @@ class CrossCheckResult:
     cycles: int
     mismatches: int
     first_mismatch: Optional[str]
-    toggle_fraction: float
-    mean_toggles: float
+    #: Toggle statistics; None from a ``toggles=False`` campaign.
+    toggle_fraction: Optional[float]
+    mean_toggles: Optional[float]
 
     @property
     def passed(self):
@@ -83,7 +84,7 @@ def run_cross_check(netlist, isa, program, inputs=None, max_instructions=500,
 
 def run_cross_check_batch(netlist, isa, program, inputs=None,
                           max_instructions=500, faults=None, backend=None,
-                          fastpath=True, lane_inputs=None):
+                          fastpath=True, lane_inputs=None, toggles=True):
     """Cross-check one die per lane, all in as few runs as possible.
 
     ``faults`` is a sequence whose entries are ``None`` (healthy lane),
@@ -106,7 +107,10 @@ def run_cross_check_batch(netlist, isa, program, inputs=None,
     Each lane's result -- mismatch count, first-mismatch message, and
     toggle statistics -- is bit-identical to a dedicated serial run,
     because every lane sees exactly the stimulus its own ISA replay
-    derives.
+    derives.  ``toggles=False`` builds backends without toggle
+    counters, for callers that read only the mismatches: every other
+    field is unchanged, and ``toggle_fraction`` and ``mean_toggles``
+    are None.
     """
     image = program.image() if hasattr(program, "image") else bytes(program)
     if len(image) > 128:
@@ -136,9 +140,13 @@ def run_cross_check_batch(netlist, isa, program, inputs=None,
         _replay(isa, image, stream, max_instructions, fastpath)
         for stream in streams
     ]
+    # Key groups by each distinct stream's fetches once, not per lane:
+    # hashing a replay's fetch tuple costs a pass over it.
     groups = {}
+    stream_lanes = [groups.setdefault(replay.fetches, [])
+                    for replay in replays]
     for lane, stream in enumerate(lane_stream):
-        groups.setdefault(replays[stream].fetches, []).append(lane)
+        stream_lanes[stream].append(lane)
 
     backend_cls = resolve_backend(backend, len(fault_list))
     chunk = max(1, backend_cls.max_lanes)
@@ -149,7 +157,7 @@ def run_cross_check_batch(netlist, isa, program, inputs=None,
             outcomes = _drive_chunk(
                 backend_cls, netlist, isa, image,
                 [fault_list[lane] for lane in part],
-                [replays[lane_stream[lane]] for lane in part],
+                [replays[lane_stream[lane]] for lane in part], toggles,
             )
             for lane, outcome in zip(part, outcomes):
                 results[lane] = outcome
@@ -220,11 +228,12 @@ def _replay(isa, image, input_values, max_instructions, fastpath=True):
     )
 
 
-def _drive_chunk(backend_cls, netlist, isa, image, faults, replays):
+def _drive_chunk(backend_cls, netlist, isa, image, faults, replays,
+                 toggles):
     """One backend run: ``len(faults)`` lanes, lane ``l`` checked
     against ``replays[l]``.  Every replay fetches the same bytes."""
     lanes = len(faults)
-    gate_sim = backend_cls(netlist, lanes=lanes)
+    gate_sim = backend_cls(netlist, lanes=lanes, toggles=toggles)
     if any(fault is not None for fault in faults):
         gate_sim.set_fault_lanes(faults)
 
@@ -276,14 +285,18 @@ def _drive_chunk(backend_cls, netlist, isa, image, faults, replays):
             gate_sim.step()
 
     gate_sim.flush_obs()
-    fractions, means = gate_sim.toggle_coverage_lanes()
-    results = []
-    for lane in range(lanes):
-        results.append(CrossCheckResult(
+    fractions = means = [None] * lanes
+    if toggles:
+        fractions, means = (
+            array.tolist() for array in gate_sim.toggle_coverage_lanes()
+        )
+    return [
+        CrossCheckResult(
             cycles=gate_sim.cycles,
             mismatches=int(mismatches[lane]),
             first_mismatch=firsts[lane],
-            toggle_fraction=float(fractions[lane]),
-            mean_toggles=float(means[lane]),
-        ))
-    return results
+            toggle_fraction=fractions[lane],
+            mean_toggles=means[lane],
+        )
+        for lane in range(lanes)
+    ]

@@ -5,10 +5,14 @@ The compiled and vector backends' only correctness contract is
 counts, same fault verdicts, same observability totals.  These tests
 check that contract on random programs and random fault sites over the
 fabricated cores (FlexiCore4, FlexiCore8) and on random stimulus over
-the DSE cores; the vector backend is additionally exercised across its
-64-lane word boundary (non-multiple-of-64 lane counts), with zero-fault
-lanes, multi-defect die lanes, and per-lane input variation.
+the DSE cores; the vector backend is additionally exercised past bit 63
+of its lane ints (non-multiple-of-64 lane counts, up to its 65,536-lane
+cap), with zero-fault lanes, multi-defect die lanes, and per-lane input
+variation.  Campaigns that count no toggles must agree on everything
+else.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -90,6 +94,41 @@ class TestCrossCheckEquivalence:
         }
         assert results["compiled"] == results["interpreted"]
         assert results["vector"] == results["interpreted"]
+
+    @pytest.mark.parametrize("backend", ["interpreted", "compiled", "vector"])
+    def test_uncounted_campaign_matches_counted(self, cores, backend):
+        """``toggles=False`` changes nothing but the toggle fields."""
+        netlist = cores["flexicore4"]
+        isa = get_isa("flexicore4")
+        rng = np.random.default_rng(31)
+        program = random_program(isa, rng, length=32)
+        inputs = _random_inputs(rng, isa.word_bits, 16)
+        faults = [None] + sample_fault_sites(netlist, rng, 5)
+        runs = {
+            toggles: run_cross_check_batch(
+                netlist, isa, program, inputs=inputs,
+                max_instructions=50, faults=faults, backend=backend,
+                toggles=toggles,
+            )
+            for toggles in (True, False)
+        }
+        assert any(not lane.passed for lane in runs[True])
+        assert runs[False] == [
+            dataclasses.replace(lane, toggle_fraction=None,
+                                mean_toggles=None)
+            for lane in runs[True]
+        ]
+
+    @pytest.mark.parametrize("backend", ["interpreted", "compiled", "vector"])
+    def test_backend_without_counters_refuses_toggle_reads(self, cores,
+                                                           backend):
+        sim = BACKENDS[backend](cores["flexicore4"], toggles=False)
+        sim.set_inputs({"instr": 0x5A, "iport": 3})
+        sim.step()
+        with pytest.raises(RuntimeError, match="toggles=False"):
+            sim.toggles()
+        with pytest.raises(RuntimeError, match="toggles=False"):
+            sim.toggle_coverage_lanes()
 
     def test_interpreted_chunks_to_per_fault_runs(self, cores):
         """The single-lane reference still accepts a fault batch."""
@@ -238,7 +277,9 @@ class TestVectorLaneSemantics:
     def test_gate_stuck_at_both_values_is_stuck_at_one(self, cores, core):
         """A die's defect draw can name one gate at both stuck values.
         Every backend then holds the gate at 1, whichever entry comes
-        first, so the lane equals the lane with the gate stuck at 1."""
+        first, so the lane equals the lane with the gate stuck at 1 --
+        also past bit 63 of the lane ints, and in a campaign that
+        counts no toggles."""
         netlist = cores[core]
         isa = get_isa(core)
         rng = np.random.default_rng(43)
@@ -250,19 +291,35 @@ class TestVectorLaneSemantics:
             for entry in ([(gate, 1), (gate, 0)], [(gate, 0), (gate, 1)],
                           (gate, 1))
         ]
-        results = {
-            backend: run_cross_check_batch(
+        # The same dies again in lanes 64..75: one run on vector, a
+        # second 64-lane chunk on compiled.
+        wide = faults + [None] * (WORD_LANES - len(faults)) + faults
+
+        def campaign(backend, lanes, toggles=True):
+            return run_cross_check_batch(
                 netlist, isa, program, inputs=inputs,
-                max_instructions=60, faults=faults, backend=backend,
+                max_instructions=60, faults=lanes, backend=backend,
+                toggles=toggles,
             )
-            for backend in ("interpreted", "compiled", "vector")
-        }
-        assert results["compiled"] == results["interpreted"]
-        assert results["vector"] == results["interpreted"]
-        reference = results["interpreted"]
+
+        reference = campaign("interpreted", faults)
         for first in range(0, len(faults), 3):
             assert reference[first] == reference[first + 1] \
                 == reference[first + 2]
+        uncounted = [
+            dataclasses.replace(lane, toggle_fraction=None,
+                                mean_toggles=None)
+            for lane in reference
+        ]
+        assert campaign("interpreted", faults, toggles=False) == uncounted
+        for backend in ("compiled", "vector"):
+            assert campaign(backend, faults) == reference
+            counted = campaign(backend, wide)
+            assert counted[:len(faults)] == reference
+            assert counted[WORD_LANES:] == reference
+            bare = campaign(backend, wide, toggles=False)
+            assert bare[:len(faults)] == uncounted
+            assert bare[WORD_LANES:] == uncounted
 
     @pytest.mark.parametrize("backend_cls, lanes, check", [
         pytest.param(CompiledBackend, WORD_LANES, [0, 1, 31, 63],
@@ -327,6 +384,64 @@ class TestVectorLaneSemantics:
             sim.set_fault_lanes([None] * 67)
         # Capacity past one word is real, not just accepted.
         assert sim.read_bus("pc", lane=65) == sim.read_bus("pc", lane=0)
+
+    def test_full_width_fault_lane(self, cores):
+        """A fault in lane 65,535 of a full-width instance: its masks
+        are 65,536-bit ints, far past the 4,300 digits CPython accepts
+        as a decimal literal, so the kernel must bind them, not print
+        them."""
+        netlist = cores["flexicore4"]
+        gate, stuck = sample_fault_sites(
+            netlist, np.random.default_rng(5), 1
+        )[0]
+        last = VECTOR_MAX_LANES - 1
+        packed = VectorBackend(netlist, lanes=VECTOR_MAX_LANES)
+        packed.set_fault_lanes([None] * last + [(gate, stuck)])
+        faulty = GateLevelSimulator(netlist)
+        faulty.set_fault_lanes([(gate, stuck)])
+        healthy = GateLevelSimulator(netlist)
+        drive = np.random.default_rng(9)
+        for _ in range(6):
+            stimulus = {
+                "instr": int(drive.integers(0, 256)),
+                "iport": int(drive.integers(0, 16)),
+            }
+            for sim in (packed, faulty, healthy):
+                sim.set_inputs(stimulus)
+                sim.step()
+            for lane, sim in ((last, faulty), (0, healthy)):
+                assert packed.read_bus("pc", lane=lane) == \
+                    sim.read_bus("pc")
+                assert packed.read_bus("oport", lane=lane) == \
+                    sim.read_bus("oport")
+        assert packed.toggles(last) == faulty.toggles()
+        assert packed.toggles(0) == healthy.toggles()
+
+    @pytest.mark.parametrize("backend, lanes", [
+        ("compiled", 12), ("vector", 100),
+    ])
+    def test_one_chunk_compiles_one_kernel(self, cores, monkeypatch,
+                                           backend, lanes):
+        """Construction and the fault install share the kernel they
+        owe: one run_cross_check_batch chunk generates it once."""
+        netlist = cores["flexicore4"]
+        isa = get_isa("flexicore4")
+        rng = np.random.default_rng(12)
+        program = random_program(isa, rng, length=16)
+        faults = [None] + sample_fault_sites(netlist, rng, lanes - 1)
+        generated = []
+        generate = CompiledBackend._generate
+
+        def counting(self):
+            generated.append(self.lanes)
+            return generate(self)
+
+        monkeypatch.setattr(CompiledBackend, "_generate", counting)
+        run_cross_check_batch(
+            netlist, isa, program, max_instructions=20, faults=faults,
+            backend=backend,
+        )
+        assert generated == [lanes]
 
 
 #: IPORT decides the branch: a negative sample (MSB set) goes to ``neg``.
@@ -543,7 +658,8 @@ class TestObservability:
         "gate_sim_cycles_total",
     )
 
-    def _campaign_totals(self, netlist, isa, program, faults, backend):
+    def _campaign_totals(self, netlist, isa, program, faults, backend,
+                         toggles=True):
         obs.reset()
         obs.configure(metrics=True)
         if backend == "interpreted":
@@ -555,7 +671,7 @@ class TestObservability:
         else:
             run_cross_check_batch(
                 netlist, isa, program, max_instructions=30,
-                faults=faults, backend=backend,
+                faults=faults, backend=backend, toggles=toggles,
             )
         registry = obs.registry()
         return {
@@ -580,6 +696,11 @@ class TestObservability:
             netlist, isa, program, faults, "vector"
         )
         assert vectored == serial
+        # Counting no toggles skips no charged work.
+        uncounted = self._campaign_totals(
+            netlist, isa, program, faults, "vector", toggles=False
+        )
+        assert uncounted == serial
         assert serial["gate_evaluations_total"] > 0
 
 
