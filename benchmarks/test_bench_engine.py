@@ -3,8 +3,8 @@
 These demonstrate the acceptance properties of the engine on the real
 experiment paths (not toy jobs): a warm result cache makes a rerun at
 least 5x faster, a process pool produces byte-identical results to the
-serial path, and the dependency graph overlaps independent stages that
-a barriered schedule serializes.
+serial path, and one batch overlaps independent stages that two
+barriered batches serialize.
 Run with ``pytest benchmarks/ --benchmark-only`` (add ``-s`` to see
 the speedup reports).
 
@@ -106,9 +106,9 @@ def engine_report():
 
 
 class TestGraphOverlap:
-    """The job graph overlaps the fault campaign with the wafer Monte
-    Carlo; the pre-graph schedule barriered between the two stages and
-    left a worker idle for the whole single-job fault stage."""
+    """One batch overlaps the fault campaign with the wafer Monte
+    Carlo; two batches, one per stage, barrier between the stages and
+    leave a worker idle for the whole single-job fault stage."""
 
     def test_graph_overlap_beats_barriered(self, netlist,
                                            engine_report):
@@ -158,11 +158,11 @@ class TestGraphOverlap:
         }
         bound = "< 0.95" if strict else f"<= 1.15 ({cores} core(s))"
         print_result(
-            "Graph streaming vs barriered stages (2 workers)",
+            "One batch vs barriered stages (2 workers)",
             f"barriered {barriered_s * 1e3:8.1f} ms"
-            f"  (wafer stage, then fault stage)\n"
-            f"graph     {graph_s * 1e3:8.1f} ms"
-            f"  (fault node overlaps wafer nodes)\n"
+            f"  (wafer batch, then fault batch)\n"
+            f"one batch {graph_s * 1e3:8.1f} ms"
+            f"  (fault job overlaps wafer jobs)\n"
             f"ratio     {ratio:8.2f}x (acceptance: {bound})",
         )
         if strict:

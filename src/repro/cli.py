@@ -330,25 +330,17 @@ def cmd_dse_search(args):
 
 
 def cmd_floorplan(args):
-    from repro.netlist.cores import build_flexicore4, build_flexicore8
-    from repro.netlist.dse_cores import build_extended_core
+    from repro.netlist.cores import CORE_BUILDERS
     from repro.netlist.floorplan import compare, render
 
-    builders = {
-        "flexicore4": build_flexicore4,
-        "flexicore8": build_flexicore8,
-        "flexicore4plus": lambda: build_extended_core(
-            frozenset({"shift", "flags"}), name="flexicore4plus"
-        ),
-    }
     if args.core == "compare":
-        print(compare([build() for build in builders.values()]))
+        print(compare([build() for build in CORE_BUILDERS.values()]))
         return 0
-    if args.core not in builders:
+    if args.core not in CORE_BUILDERS:
         print(f"unknown core '{args.core}'; choose from "
-              f"{sorted(builders)} or 'compare'", file=sys.stderr)
+              f"{sorted(CORE_BUILDERS)} or 'compare'", file=sys.stderr)
         return 2
-    print(render(builders[args.core]()))
+    print(render(CORE_BUILDERS[args.core]()))
     return 0
 
 
@@ -502,7 +494,7 @@ def cmd_engine(args):
           f"{stats['cache_bytes']:>10,d} bytes on disk")
     print(f"registered job functions: "
           f"{', '.join(sorted(registered())) or '(none imported)'}")
-    last = load_last_run(cache.root)
+    last = load_last_run()
     if last:
         print("last run:")
         print(f"  {last.get('workers', 1)} worker(s)")

@@ -147,19 +147,17 @@ def run_campaign(seed, budget, oracle_names=None, targets=None,
     started = time.monotonic()
     with obs.span("conform.campaign", budget=budget,
                   slices=len(slices)):
-        nodes = [
-            eng.submit(Job(
+        results = eng.run([
+            Job(
                 run_conformance,
                 {"oracle": name, "target": target, "cases": count,
                  "shrink_budget": shrink_budget},
                 seed=child,
                 label=f"conform:{name}:{target}",
-            ))
+            )
             for (name, target, count), child
             in zip(slices, spawn_seeds(seed, len(slices)))
-        ]
-        eng.run_graph(stage="conformance")
-        results = [node.result for node in nodes]
+        ], stage="conformance")
     divergences = []
     slice_summaries = []
     for result in results:

@@ -23,8 +23,9 @@ module searches that space instead of enumerating it:
   regions of the space never consume a full evaluation.
 
 Every scored candidate is one :class:`~repro.engine.Job`, so a search
-batches one generation per :meth:`~repro.engine.Engine.run_graph`
-wave, fans over the engine's workers, and -- because job cache keys
+runs one generation as one engine batch
+(:meth:`~repro.engine.Engine.run_graph`), fans over the engine's
+workers, and -- because job cache keys
 depend only on the candidate's parameters -- warm-starts from the
 shared :class:`~repro.engine.ResultCache`: a repeated or resumed
 search answers its evaluations as cache hits.
@@ -558,7 +559,7 @@ def exhaustive(space=None, config=None, engine=None, **overrides):
     reference grid the benchmark compares the search against).
 
     Returns ``{genome key: score dict}``.  One engine job per genome,
-    all in a single graph wave; the jobs are the same
+    all in a single batch; the jobs are the same
     :func:`score_design_job` entries the search submits, so a search
     after an exhaustive sweep (or vice versa) is pure cache hits.
     """
@@ -569,14 +570,9 @@ def exhaustive(space=None, config=None, engine=None, **overrides):
     space = space or config.space
     eng = engine_or_default(engine)
     genomes = space.enumerate()
-    nodes = [
-        eng.submit(_score_job(genome, config, screen=False))
-        for genome in genomes
-    ]
-    eng.run_graph(stage="dse-exhaustive")
-    return {
-        genome.key: node.result for genome, node in zip(genomes, nodes)
-    }
+    scores = eng.run([_score_job(genome, config, screen=False)
+                      for genome in genomes], stage="dse-exhaustive")
+    return {genome.key: score for genome, score in zip(genomes, scores)}
 
 
 def frontier_of(scores, objectives=DEFAULT_OBJECTIVES):

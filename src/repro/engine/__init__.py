@@ -6,10 +6,9 @@ The engine is the execution substrate under the heavy experiment paths
 - :class:`Job` + :class:`ChildSeed` -- declarative work units whose
   per-job seeds come from ``numpy.random.SeedSequence.spawn``, so
   serial and parallel runs agree bit-for-bit;
-- :class:`Engine` -- a scheduler streaming flat batches and dependency
-  graphs through one loop onto a local process pool, one job per task,
-  with per-job timeouts, bounded retry with backoff, and graceful
-  degradation to serial when workers die;
+- :class:`Engine` -- a scheduler streaming batches of independent jobs
+  onto a local process pool, one job per task, with bounded retry with
+  backoff and graceful degradation to serial when workers die;
 - :class:`ResultCache` -- a content-addressed on-disk cache keyed on
   function identity + params + seed + package version, making repeat
   figure/table/DSE runs near-instant;
@@ -31,14 +30,7 @@ from repro.engine.cache import (  # noqa: F401
     default_cache_dir,
     job_cache_key,
 )
-from repro.engine.executors import (  # noqa: F401
-    Executor,
-    ExecutorBroken,
-)
-from repro.engine.graph import (  # noqa: F401
-    GraphError,
-    JobNode,
-)
+from repro.engine.executors import ExecutorBroken  # noqa: F401
 from repro.engine.job import (  # noqa: F401
     ChildSeed,
     Job,
@@ -59,6 +51,7 @@ from repro.engine.scheduler import (  # noqa: F401
     Engine,
     EngineCancelled,
     EngineJobError,
+    JobNode,
     cancel_all_engines,
     live_engines,
     retry_delay_s,
@@ -66,8 +59,8 @@ from repro.engine.scheduler import (  # noqa: F401
 
 __all__ = [
     "CACHE_DIR_ENV", "ChildSeed", "Engine",
-    "EngineCancelled", "EngineJobError", "EngineMetrics", "Executor",
-    "ExecutorBroken", "GraphError", "Job", "JobNode", "ResultCache",
+    "EngineCancelled", "EngineJobError", "EngineMetrics",
+    "ExecutorBroken", "Job", "JobNode", "ResultCache",
     "as_child_seed", "cancel_all_engines", "configure",
     "current_engine", "default_cache_dir", "engine_or_default",
     "function_identity", "job_cache_key", "job_function",
@@ -81,7 +74,6 @@ __all__ = [
 _DEFAULTS = {
     "jobs": 1,
     "cache": None,        # None | True | path | ResultCache
-    "timeout": None,
     "retries": 2,
     "backoff": 0.05,
     "hooks": None,

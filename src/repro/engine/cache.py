@@ -13,7 +13,6 @@ Layout on disk (default root: ``$REPRO_CACHE_DIR`` or ``.repro-cache``)::
 
     <root>/<function-name>/<digest>.pkl    pickled result
     <root>/<function-name>/<digest>.json   human-readable entry metadata
-    <root>/last_run.json                   metrics of the latest engine run
 
 Writes are atomic (temp file + ``os.replace``, data before metadata),
 so a crash mid-write never leaves a torn pickle behind.  The engine is
@@ -23,8 +22,8 @@ so pool workers only run jobs.
 
 Values that cannot be canonicalized deterministically (arbitrary objects
 whose ``repr`` embeds addresses) are rejected with ``TypeError`` rather
-than silently producing an unstable key; jobs with such parameters must
-supply ``Job.cache_key`` themselves.
+than silently producing an unstable key; the engine runs a job with
+such parameters uncached.
 """
 
 import dataclasses
@@ -96,14 +95,12 @@ def canonical(value):
         return {"__token__": canonical(token())}
     raise TypeError(
         f"cannot build a stable cache key from {type(value).__name__!r}; "
-        "pass primitives/dataclasses or set Job.cache_key explicitly"
+        "pass primitives/dataclasses or give it a cache_token() method"
     )
 
 
 def job_cache_key(job):
     """The content address of a job's result (hex digest)."""
-    if job.cache_key is not None:
-        return job.cache_key
     from repro.engine.registry import function_identity
 
     name, version = function_identity(job.fn)
@@ -230,7 +227,7 @@ class ResultCache:
     # -- maintenance / reporting ---------------------------------------
 
     def clear(self):
-        """Delete every cache entry (and the last-run metrics)."""
+        """Delete every cache entry."""
         if self.root.exists():
             shutil.rmtree(self.root)
 

@@ -85,15 +85,14 @@ class Job:
     :func:`repro.engine.registry.job_function` additionally pins a
     stable name and version for cache keys.  ``params`` must be built
     from cache-representable values (primitives, sequences, mappings,
-    enums, frozen dataclasses -- see :mod:`repro.engine.cache`) unless
-    ``cache_key`` overrides the derived key.
+    enums, frozen dataclasses -- see :mod:`repro.engine.cache`) for the
+    job's result to be cached.
     """
 
     fn: Callable[[Mapping[str, Any], Optional[ChildSeed]], Any]
     params: Mapping[str, Any] = field(default_factory=dict)
     seed: Optional[ChildSeed] = None
     label: Optional[str] = None
-    cache_key: Optional[str] = None
 
     def __post_init__(self):
         self.seed = as_child_seed(self.seed)

@@ -13,13 +13,9 @@ the same events into an :class:`EngineMetrics` record.  Events:
 failing hook is dropped for the remainder of the run.
 """
 
-import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
-
-#: File name (under the cache root) holding the latest run's metrics.
-LAST_RUN_FILENAME = "last_run.json"
+from typing import Callable, Dict, List
 
 
 @dataclass
@@ -43,8 +39,6 @@ class EngineMetrics:
     cache_misses: int = 0
     retries: int = 0
     failures: int = 0
-    #: Graph nodes never run because an upstream dependency failed.
-    cancelled: int = 0
     worker_failures: int = 0
     degraded: bool = False
     wall_s: float = 0.0
@@ -65,7 +59,6 @@ class EngineMetrics:
             "cache_hit_rate": round(self.cache_hit_rate, 4),
             "retries": self.retries,
             "failures": self.failures,
-            "cancelled": self.cancelled,
             "worker_failures": self.worker_failures,
             "degraded": self.degraded,
             "wall_s": round(self.wall_s, 4),
@@ -164,51 +157,18 @@ def progress_printer(stream=None):
     return hook
 
 
-def persist_last_run(metrics, cache_root=None):
-    """Persist the metrics snapshot for ``repro engine stats``.
-
-    The authoritative copy goes to the observability state directory
-    (:mod:`repro.obs.state`), which exists whether or not caching is
-    on; when a cache root is given, a second copy lands there for
-    readers that address the snapshot by cache directory.
-    """
-    from pathlib import Path
-
+def persist_last_run(metrics):
+    """Persist the metrics snapshot for ``repro engine stats`` to the
+    observability state directory (:mod:`repro.obs.state`), which
+    exists whether or not caching is on."""
     from repro.obs import state as obs_state
 
-    payload = dict(metrics.to_dict(), written=time.time())
-    obs_state.write_json(LAST_RUN_FILENAME, payload)
-    if cache_root is None:
-        return
-    root = Path(cache_root)
-    try:
-        root.mkdir(parents=True, exist_ok=True)
-        with open(root / LAST_RUN_FILENAME, "w") as handle:
-            json.dump(payload, handle, indent=2)
-    except OSError:
-        pass
+    obs_state.write_json(obs_state.LAST_RUN_FILE,
+                         dict(metrics.to_dict(), written=time.time()))
 
 
-def load_last_run(cache_root=None):
-    """The latest persisted run metrics.
-
-    With a ``cache_root``, reads both the cache-rooted copy and the
-    state-directory copy and returns the newer; with none, reads the
-    state directory alone (the ``--no-cache`` case).
-    """
-    from pathlib import Path
-
+def load_last_run():
+    """The latest persisted run metrics, or ``None``."""
     from repro.obs import state as obs_state
 
-    candidates = [obs_state.read_json(LAST_RUN_FILENAME)]
-    if cache_root is not None:
-        path = Path(cache_root) / LAST_RUN_FILENAME
-        try:
-            with open(path) as handle:
-                candidates.append(json.load(handle))
-        except (OSError, json.JSONDecodeError):
-            pass
-    candidates = [c for c in candidates if c is not None]
-    if not candidates:
-        return None
-    return max(candidates, key=lambda c: c.get("written", 0.0))
+    return obs_state.read_json(obs_state.LAST_RUN_FILE)

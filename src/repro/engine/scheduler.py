@@ -2,35 +2,34 @@
 
 The scheduler is one of three layers:
 
-- **this module** decides *what* runs and in *which order* -- flat
-  batches through :meth:`Engine.run`, dependency graphs through
-  :meth:`Engine.submit` + :meth:`Engine.run_graph`.  Both go through
-  one loop: a flat batch is a graph without edges;
-- an :mod:`executor <repro.engine.executors>` decides *where*: a
-  process pool on this host;
+- **this module** decides *what* runs and in *which order*: a batch of
+  independent jobs, handed over as a list (:meth:`Engine.run`) or one
+  handle at a time (:meth:`Engine.submit` + :meth:`Engine.run_graph`).
+  Both go through one loop;
+- the :class:`~repro.engine.executors.local.LocalPoolExecutor` decides
+  *where*: a process pool on this host;
 - the :class:`~repro.engine.cache.ResultCache` remembers results by
   content address.  This module reads and writes it around dispatch,
-  so executors only run jobs.
+  so the pool only runs jobs.
 
-Execution strategy for one run:
+Execution strategy for one batch:
 
 1. every job is first looked up in the result cache (when enabled);
-2. jobs whose dependencies have finished stream into the executor,
-   one job per task, with an optional per-job timeout; when at most
-   one job is left to compute, or ``jobs <= 1``, the jobs run inline
-   and no pool starts;
+2. the misses stream into the pool, one job per task; when at most one
+   job is left to compute, or ``jobs <= 1``, they run inline and no
+   pool starts;
 3. each result is cached as soon as it lands;
 4. a job that raises inside a worker is retried *serially* with
    exponential backoff plus deterministic-seeded jitter (bounded by
    ``retries``);
-5. a broken pool is replaced by a fresh one and its lost jobs are
-   dispatched again, up to :data:`_POOL_RESTARTS` times per run; one
-   more break, or a timeout, degrades the run to serial for the
-   remaining jobs rather than failing it.
+5. a broken pool is replaced by a fresh one and the jobs it lost are
+   dispatched again, up to :data:`_POOL_RESTARTS` times per batch; one
+   more break degrades the batch to serial for the remaining jobs
+   rather than failing it.
 
-A job that exhausts its retries marks every transitive dependent
-``cancelled`` without running it; unrelated jobs continue, and the
-first :class:`EngineJobError` is raised once the run has drained.
+A job that exhausts its retries is marked ``failed``; the other jobs
+continue, and the first :class:`EngineJobError` is raised once the
+batch has drained.
 
 Because every job carries its own :class:`~repro.engine.job.ChildSeed`
 and results are reassembled in submission order, none of the above
@@ -48,20 +47,6 @@ from repro import obs
 from repro.engine.cache import ResultCache, job_cache_key
 from repro.engine.executors.base import ExecutorBroken
 from repro.engine.executors.local import LocalPoolExecutor
-from repro.engine.graph import (
-    CACHED,
-    CANCELLED,
-    DISPATCHED,
-    DONE,
-    FAILED,
-    PENDING,
-    GraphError,
-    JobNode,
-    effective_params,
-    node_cache_key,
-    normalize_deps,
-)
-from repro.engine.job import Job
 from repro.engine.metrics import (
     EngineMetrics,
     HookSet,
@@ -70,9 +55,15 @@ from repro.engine.metrics import (
 )
 
 
-#: Fresh pools one run may start after its pool breaks; the next break
-#: degrades the rest of the run to serial.
+#: Fresh pools one batch may start after its pool breaks; the next
+#: break degrades the rest of the batch to serial.
 _POOL_RESTARTS = 2
+
+#: Handle states.
+PENDING = "pending"
+DONE = "done"
+CACHED = "cached"
+FAILED = "failed"
 
 
 class EngineJobError(RuntimeError):
@@ -89,6 +80,32 @@ class EngineJobError(RuntimeError):
 
 class EngineCancelled(RuntimeError):
     """A run was cancelled (``Engine.cancel``) before it finished."""
+
+
+class JobNode:
+    """The handle of one submitted job: its content address and, once
+    its batch has run, its status and result (or error)."""
+
+    __slots__ = ("index", "job", "key", "status", "result", "error")
+
+    def __init__(self, index, job):
+        self.index = index
+        self.job = job
+        try:
+            self.key = job_cache_key(job)
+        except TypeError:
+            self.key = None   # params that cannot be keyed skip the cache
+        self.status = PENDING
+        self.result = None
+        self.error = None     # EngineJobError once failed
+
+    @property
+    def done(self):
+        return self.status in (DONE, CACHED)
+
+    def __repr__(self):
+        return (f"JobNode({self.index}, {self.job.label!r}, "
+                f"{self.status})")
 
 
 #: Every live engine, so a signal handler (or a service drain) can reach
@@ -139,7 +156,7 @@ def retry_delay_s(job, attempt, backoff):
 
 
 class Engine:
-    """Parallel, cached, fault-tolerant runner for :class:`Job` lists.
+    """Parallel, cached, fault-tolerant runner for :class:`Job` batches.
 
     Parameters
     ----------
@@ -148,9 +165,6 @@ class Engine:
     cache:
         ``None`` (disabled), ``True`` (default directory), a path, or a
         ready :class:`~repro.engine.cache.ResultCache`.
-    timeout:
-        Optional per-job seconds; enforced while waiting on worker
-        results (a timed-out job degrades the run to serial).
     retries / backoff:
         Failed jobs are re-run up to ``retries`` more times, sleeping
         ``backoff * 2**attempt`` seconds (with deterministic jitter)
@@ -162,15 +176,14 @@ class Engine:
         :class:`~concurrent.futures.ProcessPoolExecutor`).
     """
 
-    def __init__(self, jobs=1, cache=None, timeout=None, retries=2,
-                 backoff=0.05, hooks=None, pool_factory=None):
+    def __init__(self, jobs=1, cache=None, retries=2, backoff=0.05,
+                 hooks=None, pool_factory=None):
         self.jobs = max(1, int(jobs))
         if cache is True:
             cache = ResultCache()
         elif isinstance(cache, (str, bytes)) or hasattr(cache, "__fspath__"):
             cache = ResultCache(cache)
         self.cache = cache
-        self.timeout = timeout
         self.retries = max(0, int(retries))
         self.backoff = backoff
         self.hooks = HookSet(hooks)
@@ -181,8 +194,7 @@ class Engine:
         self._cancel = threading.Event()
         self._running = False
         self._run_seq = 0
-        self._graph = []
-        self._graph_seq = 0
+        self._submitted = []
         _LIVE_ENGINES.add(self)
 
     # -- executor plumbing --------------------------------------------
@@ -192,11 +204,17 @@ class Engine:
         """The live executor instance, or ``None`` before first use."""
         return self._executor
 
-    def _ensure_executor(self):
-        if self._executor is None:
-            self._executor = LocalPoolExecutor(self.jobs,
-                                               self._pool_factory)
-        self._executor.start()
+    def _start_executor(self, failure):
+        """The started pool executor, or ``None`` (the batch degraded
+        to serial) when no pool can be started."""
+        try:
+            if self._executor is None:
+                self._executor = LocalPoolExecutor(self.jobs,
+                                                   self._pool_factory)
+            self._executor.start()
+        except Exception as exc:
+            self._degrade(f"{failure}: {exc}")
+            return None
         return self._executor
 
     def close(self):
@@ -249,84 +267,50 @@ class Engine:
     def run(self, jobs, stage="run"):
         """Run every job; return results in submission order.
 
-        A flat batch is a graph without edges: it runs through the
-        same loop as :meth:`run_graph` but leaves the nodes pending
-        from :meth:`submit` alone.  Each result is cached as it lands,
-        and the first :class:`EngineJobError` is raised only after
-        every other job has run, so a failed or cancelled batch keeps
-        what it finished.
+        Jobs submitted with :meth:`submit` and not yet run are left
+        alone.  Each result is cached as it lands, and the first
+        :class:`EngineJobError` is raised only after every other job
+        has run, so a failed or cancelled batch keeps what it finished.
         """
-        nodes = [_keyed_node(index, job, [])
-                 for index, job in enumerate(jobs)]
+        nodes = [JobNode(index, job) for index, job in enumerate(jobs)]
         return self._run_nodes(nodes, stage)
 
-    # -- graph API -----------------------------------------------------
-
-    def submit(self, job, deps=None):
-        """Add one job to the pending graph; returns its
-        :class:`~repro.engine.graph.JobNode` handle.
-
-        ``deps`` is an iterable of nodes (ordering-only) or a mapping
-        of ``param name -> node | [nodes]`` whose results are injected
-        into ``params`` at dispatch time.  The next
-        :meth:`run_graph` call runs everything submitted since the
-        last one.
-        """
-        node = _keyed_node(self._graph_seq, job, normalize_deps(deps))
-        self._graph_seq += 1
-        for dep in node.dep_nodes():
-            if dep.status in (FAILED, CANCELLED):
-                raise GraphError(
-                    f"dependency {dep.job.label!r} already "
-                    f"{dep.status}; cannot submit {node.job.label!r}"
-                )
-        self._graph.append(node)
+    def submit(self, job):
+        """Add one job to the next :meth:`run_graph` batch; returns its
+        :class:`JobNode` handle, which reports whether the job was
+        computed or answered from the cache."""
+        node = JobNode(len(self._submitted), job)
+        self._submitted.append(node)
         return node
 
-    def run_graph(self, stage="graph", raise_on_error=True):
-        """Run every node submitted since the last graph run.
-
-        Nodes stream into the executor as their dependencies finish,
-        so independent branches overlap.  Returns results in
-        submission order (``None`` for failed/cancelled nodes).  With
-        ``raise_on_error`` (default) the first
-        :class:`EngineJobError` is raised *after* the graph has
-        drained -- inspect the returned node handles for per-branch
-        status when catching it.
-        """
-        nodes, self._graph = self._graph, []
+    def run_graph(self, stage="graph"):
+        """Run every job submitted since the last :meth:`run_graph`, as
+        :meth:`run` would; returns results in submission order and
+        leaves each handle ``done``, ``cached`` or ``failed``."""
+        nodes, self._submitted = self._submitted, []
         if not nodes:
             return []
-        return self._run_nodes(nodes, stage, raise_on_error)
+        return self._run_nodes(nodes, stage)
 
     # -- the one scheduling loop ---------------------------------------
 
-    def _run_nodes(self, nodes, stage, raise_on_error=True):
+    def _run_nodes(self, nodes, stage):
         started = time.perf_counter()
         stage_metrics = StageMetrics(stage=stage, jobs=len(nodes))
         self.metrics.jobs_submitted += len(nodes)
         self._check_cancelled()
         self._running = True
-
-        ready = deque()
-        queued = set()
         failures = []
-
-        def push_ready(node):
-            if (node.index not in queued and node.status == PENDING
-                    and not node.waiting):
-                queued.add(node.index)
-                ready.append(node)
 
         def resolve(node, value, *, where, attempts, elapsed,
                     cached=False, announced=False):
             node.result = value
-            node.status = DONE
             if cached:
                 node.status = CACHED
                 self.metrics.cache_hits += 1
                 stage_metrics.cache_hits += 1
             else:
+                node.status = DONE
                 stage_metrics.computed += 1
                 if self.cache is not None and node.key is not None:
                     self.cache.put(
@@ -344,39 +328,14 @@ class Engine:
                     "attempts": attempts, "elapsed_s": elapsed,
                     "where": where,
                 })
-            for dependent in node.dependents:
-                dependent.waiting.discard(node)
-                push_ready(dependent)
 
-        def fail(node, error):
-            node.status = FAILED
-            node.error = error
-            failures.append(error)
-            stack = list(node.dependents)
-            while stack:
-                dependent = stack.pop()
-                if dependent.status != PENDING:
-                    continue
-                dependent.status = CANCELLED
-                dependent.error = (
-                    f"upstream job {node.job.label!r} failed"
-                )
-                self.metrics.cancelled += 1
-                self.hooks.emit("job_done", {
-                    "label": dependent.job.label,
-                    "fn": _fn_name(dependent.job),
-                    "status": "cancelled", "attempts": 0,
-                    "elapsed_s": 0.0, "where": "graph",
-                })
-                stack.extend(dependent.dependents)
-
-        def run_serial_node(node, attempts_used=0):
+        def run_serial(node, attempts_used=0):
             try:
-                value = self._attempt_until_done(
-                    self._effective_job(node), attempts_used
-                )
+                value = self._attempt_until_done(node.job, attempts_used)
             except EngineJobError as err:
-                fail(node, err)
+                node.status = FAILED
+                node.error = err
+                failures.append(err)
             else:
                 resolve(node, value, where="serial",
                         attempts=attempts_used + 1, elapsed=0.0,
@@ -384,17 +343,7 @@ class Engine:
 
         try:
             with obs.span(f"engine.{stage}", jobs=len(nodes)):
-                for node in nodes:
-                    for dep in node.dep_nodes():
-                        if dep.status in (FAILED, CANCELLED):
-                            raise GraphError(
-                                f"dependency {dep.job.label!r} is "
-                                f"{dep.status}"
-                            )
-                        if not dep.done:
-                            node.waiting.add(dep)
-                            dep.dependents.append(node)
-
+                todo = deque()
                 for node in nodes:
                     if self.cache is not None and node.key is not None:
                         hit, value = self.cache.get(
@@ -406,13 +355,8 @@ class Engine:
                                     cached=True)
                             continue
                         self.metrics.cache_misses += 1
-                for node in nodes:
-                    push_ready(node)
-
-                computing = sum(node.status == PENDING for node in nodes)
-                self._drive_graph(ready, resolve, run_serial_node,
-                                  computing)
-
+                    todo.append(node)
+                self._compute(todo, resolve, run_serial)
                 self.hooks.emit("stage_done", {
                     "stage": stage, "jobs": len(nodes),
                     "cache_hits": stage_metrics.cache_hits,
@@ -422,12 +366,7 @@ class Engine:
             # Runs on success, failure, *and* cancellation: the metrics
             # record and the last-run snapshot must reflect what really
             # happened, so an interrupted campaign never leaves a
-            # half-written or stale `.repro-state/` behind.  The
-            # snapshot goes to the state directory no matter how (or
-            # whether) results were cached, so `repro engine stats`
-            # reflects --no-cache runs too; a copy lands next to the
-            # cache for backward compatibility with cache-rooted
-            # readers.
+            # half-written or stale `.repro-state/` behind.
             self._running = False
             if self._cancel.is_set():
                 # A cancelled executor may hold arbitrarily stale
@@ -436,115 +375,75 @@ class Engine:
             stage_metrics.wall_s = time.perf_counter() - started
             self.metrics.wall_s += stage_metrics.wall_s
             self.metrics.stages.append(stage_metrics)
-            persist_last_run(
-                self.metrics,
-                self.cache.root if self.cache is not None else None,
-            )
-        if failures and raise_on_error:
+            persist_last_run(self.metrics)
+        if failures:
             raise failures[0]
         return [node.result for node in nodes]
 
-    def _effective_job(self, node):
-        """The node's job with dependency results injected."""
-        job = node.job
-        return Job(job.fn, effective_params(node), job.seed,
-                   job.label, node.key)
-
-    def _drive_graph(self, ready, resolve, run_serial_node, computing):
+    def _compute(self, todo, resolve, run_serial):
+        """Run the cache misses in ``todo``: inline, or streamed to the
+        pool one job per task."""
         # A single job to compute runs inline: no pool is worth
         # starting for it.
-        use_parallel = computing > 1 and self.jobs > 1
         executor = None
-        if use_parallel:
-            try:
-                executor = self._ensure_executor()
-            except Exception as exc:
-                self._degrade(f"could not start executor: {exc}")
-                use_parallel = False
-        obs_ctx = obs.worker_context() if use_parallel else None
+        if len(todo) > 1 and self.jobs > 1:
+            executor = self._start_executor("could not start executor")
+        obs_ctx = obs.worker_context() if executor is not None else None
         self._run_seq += 1
-        prefix = f"g{self._run_seq}"
+        prefix = f"r{self._run_seq}"
         outstanding = {}
-        deadlines = {}
         restarts = 0
 
-        def dispatch(node):
-            job = node.job
-            entry = (job.fn, effective_params(node), job.seed, job.label)
-            task_id = f"{prefix}:{node.index}"
-            executor.submit(task_id, [entry], obs_ctx)
-            node.status = DISPATCHED
-            outstanding[task_id] = node
-            if self.timeout:
-                deadlines[task_id] = time.monotonic() + self.timeout
-
-        # A node queued when its dependency hit the cache may have hit
-        # the cache itself since: only PENDING nodes still need work.
-        while ready or outstanding:
+        while todo or outstanding:
             self._check_cancelled()
-            if not use_parallel:
-                node = ready.popleft()
-                if node.status == PENDING:
-                    run_serial_node(node)
+            if executor is None:
+                run_serial(todo.popleft())
                 continue
             broken = None
-            timed_out = False
-            while ready and broken is None:
-                node = ready.popleft()
-                if node.status != PENDING:
-                    continue
+            while todo and broken is None:
+                node = todo.popleft()
+                task_id = f"{prefix}:{node.index}"
+                job = (node.job.fn, dict(node.job.params), node.job.seed,
+                       node.job.label)
                 try:
-                    dispatch(node)
+                    executor.submit(task_id, job, obs_ctx)
                 except ExecutorBroken as exc:
-                    node.status = PENDING
-                    ready.appendleft(node)
+                    todo.appendleft(node)
                     broken = exc
-            if outstanding and broken is None:
+                else:
+                    outstanding[task_id] = node
+            if broken is None:
                 try:
                     item = executor.next_result(_CANCEL_POLL_S)
                 except ExecutorBroken as exc:
                     broken = exc
                     item = None
-                now = time.monotonic()
-                if broken is None and deadlines and any(
-                    deadline < now for deadline in deadlines.values()
-                ):
-                    timed_out = True
-                    broken = ExecutorBroken(
-                        "timeout waiting on graph node(s)"
-                    )
                 if item is not None:
-                    task_id, outcomes, obs_payload = item
+                    task_id, outcome, obs_payload = item
                     node = outstanding.pop(task_id, None)
                     if node is not None:
-                        deadlines.pop(task_id, None)
                         obs.absorb(obs_payload)
-                        outcome = outcomes[0]
                         if outcome[0] == "ok":
                             resolve(node, outcome[1], where="pool",
                                     attempts=1, elapsed=outcome[2])
                         else:
                             self.metrics.worker_failures += 1
-                            run_serial_node(node, attempts_used=1)
+                            run_serial(node, attempts_used=1)
             if broken is not None:
+                # The executor dropped the dead pool and every job it
+                # held: dispatch them again, on a fresh pool while the
+                # batch has restarts left, else serially.
                 self.metrics.worker_failures += 1
-                for node in outstanding.values():
-                    node.status = PENDING
-                    ready.append(node)
+                todo.extend(outstanding.values())
                 outstanding.clear()
-                deadlines.clear()
-                if timed_out or restarts == _POOL_RESTARTS:
+                if restarts == _POOL_RESTARTS:
                     self._degrade(str(broken))
-                    use_parallel = False
+                    executor = None
                     continue
-                # The executor dropped the dead pool; start a fresh one
-                # for the lost nodes and the rest of the run.
                 restarts += 1
-                try:
-                    executor = self._ensure_executor()
-                except Exception as exc:
-                    self._degrade(f"could not restart executor: {exc}")
-                    use_parallel = False
+                executor = self._start_executor(
+                    "could not restart executor"
+                )
 
     # -- serial path ---------------------------------------------------
 
@@ -597,20 +496,6 @@ class Engine:
             flight.dump("engine_degraded", context={"reason": reason})
         except Exception:  # diagnostics must not fail the run
             pass
-
-
-def _keyed_node(index, job, deps):
-    """A graph node for ``job`` with its content address filled in
-    (``None`` when its params cannot be keyed: it then skips the
-    cache)."""
-    job = job if isinstance(job, Job) else Job(*job)
-    node = JobNode(index, job, deps)
-    try:
-        base_key = job_cache_key(job)
-    except TypeError:
-        base_key = None
-    node.key = node_cache_key(base_key, deps)
-    return node
 
 
 def _fn_name(job):

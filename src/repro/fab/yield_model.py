@@ -592,10 +592,10 @@ def run_gate_yield_study(process, *, seed, core="flexicore4", wafers=5,
     """
     eng = engine_or_default(engine)
     shards = min(eng.jobs, wafers)
-    nodes = []
+    jobs = []
     for index in range(shards):
         first, stop = wafers * index // shards, wafers * (index + 1) // shards
-        nodes.append(eng.submit(Job(
+        jobs.append(Job(
             gate_yield_campaign_job,
             {"core": core, "isa": core, "process": process,
              "voltages": tuple(voltages), "backend": backend,
@@ -603,9 +603,9 @@ def run_gate_yield_study(process, *, seed, core="flexicore4", wafers=5,
              "wafers": (first, stop)},
             seed=seed,
             label=f"{core}:gate-wafers{first}-{stop - 1}",
-        )))
-    eng.run_graph(stage=f"gate-yield:{core}")
-    results = [wafer for node in nodes for wafer in node.result]
+        ))
+    campaigns = eng.run(jobs, stage=f"gate-yield:{core}")
+    results = [wafer for campaign in campaigns for wafer in campaign]
     summary = merge_buckets(
         [result["buckets"] for result in results], tuple(voltages)
     )

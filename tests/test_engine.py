@@ -20,6 +20,7 @@ from repro.engine import (
     job_cache_key,
     job_function,
     load_last_run,
+    retry_delay_s,
     spawn_seeds,
 )
 from repro.engine.cache import canonical
@@ -167,8 +168,7 @@ class TestCacheKeys:
 class TestResultCache:
     def test_hit_on_rerun(self, tmp_path):
         counter = FlakyCounter(failures=0)
-        job = Job(counter, {"value": 41}, seed=ChildSeed(1),
-                  cache_key="fixed-key")
+        job = Job(counter, {"value": 41}, seed=ChildSeed(1))
         cold = Engine(jobs=1, cache=tmp_path)
         assert cold.run([job]) == [41]
         assert cold.metrics.cache_misses == 1
@@ -206,13 +206,44 @@ class TestResultCache:
         cache.clear()
         assert cache.stats()["entries"] == 0
 
-    def test_last_run_metrics_persisted(self, tmp_path):
-        engine = Engine(jobs=1, cache=tmp_path)
+    def test_last_run_metrics_persisted(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STATE_DIR", str(tmp_path / "state"))
+        engine = Engine(jobs=1, cache=tmp_path / "cache")
         engine.run([Job(normal_sum_job, {"n": 10}, seed=ChildSeed(1))],
                    stage="demo")
-        last = load_last_run(tmp_path)
+        last = load_last_run()
         assert last["jobs_completed"] == 1
         assert last["stages"][0]["stage"] == "demo"
+        # The state directory holds the one copy; the cache root holds
+        # only entries.
+        assert (tmp_path / "state" / "last_run.json").is_file()
+        assert not (tmp_path / "cache" / "last_run.json").exists()
+
+    def test_second_graph_run_hits_cache(self, tmp_path):
+        """A warm ``run_graph`` leaves each handle ``cached`` (the
+        search trail's ``cached`` flag reads it) and computes
+        nothing."""
+        counter = FlakyCounter(failures=0)
+
+        def submit_all(engine):
+            return [engine.submit(Job(counter, {"value": value},
+                                      seed=ChildSeed(value)))
+                    for value in (4, 5)]
+
+        cold = Engine(jobs=1, cache=tmp_path)
+        cold_nodes = submit_all(cold)
+        assert cold.run_graph() == [4, 5]
+        assert [node.status for node in cold_nodes] == ["done", "done"]
+
+        warm = Engine(jobs=1, cache=tmp_path)
+        warm_nodes = submit_all(warm)
+        assert warm.run_graph() == [4, 5]
+        assert [node.status for node in warm_nodes] == \
+            ["cached", "cached"]
+        assert all(node.done for node in warm_nodes)
+        assert (warm.metrics.cache_hits, warm.metrics.cache_misses) == \
+            (2, 0)
+        assert counter.calls == 2
 
     def test_cached_rerun_is_5x_faster(self, tmp_path):
         """The acceptance benchmark: warm runs ride the cache."""
@@ -349,8 +380,56 @@ class TestResultsCachedAsTheyLand:
         assert fresh.run(jobs) == [0, 1, 2, 3]
         assert fresh.metrics.cache_hits == 2
 
+    def test_cancel_mid_graph_leaves_cache_uncorrupted(self, tmp_path):
+        """Cancelling between submitted jobs leaves only complete,
+        loadable cache entries behind, and a fresh engine finishes the
+        batch from them."""
+        engine = Engine(jobs=1, cache=tmp_path)
+        finished = []
+
+        def hook(event, payload):
+            if event == "job_done":
+                finished.append(payload["label"])
+                engine.cancel()
+
+        engine.hooks.add(hook)
+        for index, child in enumerate(spawn_seeds(5, 4)):
+            engine.submit(Job(slow_echo_job,
+                              {"value": index, "delay": 0.0},
+                              seed=child, label=f"slow{index}"))
+        with pytest.raises(EngineCancelled):
+            engine.run_graph()
+        assert finished == ["slow0"]
+
+        # Every on-disk entry is complete: meta beside data, loadable.
+        cache = ResultCache(tmp_path)
+        stats = cache.stats()
+        data_files = [
+            path for path in tmp_path.rglob("*.pkl")
+            if path.is_file()
+        ]
+        assert stats["entries"] == len(data_files)
+        for path in data_files:
+            assert path.with_suffix(".json").exists()
+
+        # A fresh engine finishes the same batch and reuses whatever
+        # completed before the cancel.
+        fresh = Engine(jobs=1, cache=tmp_path)
+        nodes = [
+            fresh.submit(Job(slow_echo_job, {"value": index, "delay": 0.0},
+                             seed=child, label=f"slow{index}"))
+            for index, child in enumerate(spawn_seeds(5, 4))
+        ]
+        results = fresh.run_graph()
+        assert results == [0, 1, 2, 3]
+        assert all(node.done for node in nodes)
+        assert fresh.metrics.cache_hits >= 1
+
 
 class TestSharedLoop:
+    def test_empty_graph_is_a_noop(self):
+        assert Engine(jobs=1).run_graph() == []
+
     def test_run_leaves_submitted_nodes_alone(self):
         engine = Engine(jobs=1)
         pending = engine.submit(Job(echo_job, {"node": 1}))
@@ -401,6 +480,27 @@ class TestHooks:
         engine = Engine(jobs=1, hooks=[bad_hook])
         (result,) = engine.run([Job(echo_job, {"x": 1})])
         assert result == {"x": 1}
+
+
+class TestRetryJitter:
+    def test_jitter_is_deterministic_per_job(self):
+        job = Job(echo_job, {"value": 1}, seed=3, label="jit")
+        assert retry_delay_s(job, 1, 0.1) == retry_delay_s(job, 1, 0.1)
+
+    def test_jitter_within_bounds_and_grows(self):
+        job = Job(echo_job, {"value": 1}, seed=3, label="jit")
+        first = retry_delay_s(job, 1, 0.1)
+        second = retry_delay_s(job, 2, 0.1)
+        assert 0.075 <= first < 0.125
+        assert 0.15 <= second < 0.25
+
+    def test_different_jobs_desynchronize(self):
+        delays = {
+            retry_delay_s(Job(echo_job, {"value": v}, seed=v,
+                              label=f"jit{v}"), 1, 0.1)
+            for v in range(8)
+        }
+        assert len(delays) > 1
 
 
 class TestGlobalConfiguration:

@@ -71,9 +71,10 @@ class TestCancel:
         assert time.monotonic() - started < 10.0
         assert not engine.running
 
-    def test_cancelled_run_still_persists_metrics(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        engine = Engine(jobs=1, cache=cache)
+    def test_cancelled_run_still_persists_metrics(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setenv("REPRO_STATE_DIR", str(tmp_path / "state"))
+        engine = Engine(jobs=1, cache=tmp_path / "cache")
 
         def hook(event, payload):
             if event == "job_done":
@@ -83,7 +84,7 @@ class TestCancel:
         jobs = [Job(cancel_echo_job, {"value": i}) for i in range(3)]
         with pytest.raises(EngineCancelled):
             engine.run(jobs, stage="abort-me")
-        last = load_last_run(cache.root)
+        last = load_last_run()
         assert last is not None
         assert last["stages"][-1]["stage"] == "abort-me"
 

@@ -94,7 +94,8 @@ class TestPoolDifferential:
     def test_cached_yield_cold_then_warm(self, netlist, baselines,
                                          tmp_path, monkeypatch):
         """The engine's cache is the only tier: a cold pool run stores
-        each wafer once, flat, and a warm rerun never starts the
+        each wafer once, flat, and nothing else (the run's metrics go
+        to the state directory), and a warm rerun never starts the
         pool."""
         monkeypatch.setenv("REPRO_STATE_DIR", str(tmp_path / "state"))
         root = tmp_path / "cache"
@@ -110,10 +111,10 @@ class TestPoolDifferential:
         keys = sorted(path.stem for path in root.rglob("*.pkl"))
         assert len(keys) == 3
         assert files == sorted(
-            ["last_run.json"]
-            + [f"fab.wafer_yield/{key}{suffix}"
-               for key in keys for suffix in (".json", ".pkl")]
+            f"fab.wafer_yield/{key}{suffix}"
+            for key in keys for suffix in (".json", ".pkl")
         )
+        assert (tmp_path / "state" / "last_run.json").is_file()
 
         with Engine(jobs=2, cache=root) as warm:
             assert run_yield_study(netlist, FC4_WAFER, wafers=3,
