@@ -330,17 +330,17 @@ def cmd_dse_search(args):
 
 
 def cmd_floorplan(args):
-    from repro.netlist.cores import CORE_BUILDERS
+    from repro.netlist.cores import CORE_BUILDERS, core_netlist
     from repro.netlist.floorplan import compare, render
 
     if args.core == "compare":
-        print(compare([build() for build in CORE_BUILDERS.values()]))
+        print(compare([core_netlist(name) for name in CORE_BUILDERS]))
         return 0
     if args.core not in CORE_BUILDERS:
         print(f"unknown core '{args.core}'; choose from "
               f"{sorted(CORE_BUILDERS)} or 'compare'", file=sys.stderr)
         return 2
-    print(render(CORE_BUILDERS[args.core]()))
+    print(render(core_netlist(args.core)))
     return 0
 
 
@@ -386,17 +386,14 @@ def cmd_isa(args):
 
 
 def cmd_verilog(args):
+    from repro.netlist.cores import CORE_BUILDERS, core_netlist
     from repro.netlist.export import to_verilog
-    from repro.netlist.cores import build_flexicore4, build_flexicore8
 
-    builders = {"flexicore4": build_flexicore4,
-                "flexicore8": build_flexicore8}
-    if args.core not in builders:
+    if args.core not in CORE_BUILDERS:
         print(f"unknown core '{args.core}'; choose from "
-              f"{sorted(builders)}", file=sys.stderr)
+              f"{sorted(CORE_BUILDERS)}", file=sys.stderr)
         return 2
-    text = to_verilog(builders[args.core](),
-                      include_models=args.models)
+    text = to_verilog(core_netlist(args.core), include_models=args.models)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text)
@@ -879,7 +876,7 @@ def build_parser():
 
     p = sub.add_parser("verilog",
                        help="export a core as structural Verilog")
-    p.add_argument("core", help="flexicore4 or flexicore8")
+    p.add_argument("core", help="flexicore4, flexicore8 or flexicore4plus")
     p.add_argument("-o", "--output")
     p.add_argument("--models", action="store_true",
                    help="prepend behavioral cell models")

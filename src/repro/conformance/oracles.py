@@ -31,7 +31,6 @@ descriptor -- see docs/CONFORMANCE.md.
 
 import dataclasses
 from dataclasses import replace
-from functools import lru_cache
 from typing import Callable, Tuple
 
 from repro.conformance.case import compare_observations
@@ -81,7 +80,6 @@ def get_oracle(name):
 # Shared target helpers.
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _gate_core_for(target):
     """The fabricated netlist a target's gate-level oracle runs on.
 
@@ -91,9 +89,9 @@ def _gate_core_for(target):
     question is *backend equivalence on identical stimulus*, which any
     netlist answers.
     """
-    from repro.netlist.cores import build_core
+    from repro.netlist.cores import core_netlist
 
-    return build_core("flexicore8" if "8" in target else "flexicore4")
+    return core_netlist("flexicore8" if "8" in target else "flexicore4")
 
 
 def _assemble(target, payload):
@@ -360,10 +358,12 @@ def execute_fab(case):
     import numpy as np
 
     from repro.fab import reference
-    from repro.fab.yield_model import _core_static, fabricate_wafer
+    from repro.fab.yield_model import fabricate_wafer
+    from repro.netlist.cores import core_netlist, core_timing
 
     payload = case.payload
-    netlist, report = _core_static(payload["core"])
+    netlist = core_netlist(payload["core"])
+    report = core_timing(payload["core"])
     process = _case_process(payload)
 
     def run(fabricate, probe):

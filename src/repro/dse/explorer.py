@@ -7,11 +7,11 @@ explain which designs each one dominates.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Tuple
 
 from repro.dse.designs import ALL_DESIGNS, BASELINE
 from repro.dse.evaluate import evaluate_all
-from repro.dse.search import dominates
+from repro.dse.search import dominates, non_dominated_sort
 
 #: Metric extractors (all lower-is-better).
 METRICS = {
@@ -29,29 +29,6 @@ class ParetoPoint:
     name: str
     values: Tuple[float, ...]
     dominates: Tuple[str, ...]
-
-
-def pareto_frontier(points):
-    """``points``: {name: tuple of lower-is-better values}.
-
-    Returns the non-dominated points, each annotated with the designs it
-    dominates, sorted by (values, name) so ties on the first metric
-    still order deterministically.  Duplicate value tuples survive
-    together: neither strictly dominates the other.
-    """
-    frontier = []
-    for name, values in points.items():
-        if any(dominates(other, values)
-               for other_name, other in points.items()
-               if other_name != name):
-            continue
-        beaten = tuple(sorted(
-            other_name for other_name, other in points.items()
-            if other_name != name and dominates(values, other)
-        ))
-        frontier.append(ParetoPoint(name=name, values=values,
-                                    dominates=beaten))
-    return sorted(frontier, key=lambda point: (point.values, point.name))
 
 
 def explore(metrics=("area", "energy"), designs=ALL_DESIGNS,
@@ -73,6 +50,12 @@ def pareto(results, metrics=("area", "energy"), feasible_only=True,
            baseline=BASELINE.name):
     """``(frontier, points)`` of evaluated designs (``{name:
     DesignMetrics}``) over ``metrics`` (names from :data:`METRICS`).
+
+    ``points`` maps each design to its lower-is-better values.
+    ``frontier`` is the first front of
+    :func:`~repro.dse.search.non_dominated_sort`, sorted by (values,
+    name), each point listing the designs it strictly dominates;
+    duplicate value tuples survive together, since neither dominates.
 
     Every metric is normalized against ``baseline`` (a design name
     that must be present in ``results``); the baseline is selected
@@ -96,7 +79,16 @@ def pareto(results, metrics=("area", "energy"), feasible_only=True,
         points[name] = tuple(
             METRICS[metric](metric_values, base) for metric in metrics
         )
-    return pareto_frontier(points), points
+    names = list(points)
+    fronts = non_dominated_sort([(True, points[name]) for name in names])
+    frontier = []
+    for index in fronts[0] if fronts else ():
+        name = names[index]
+        beaten = tuple(sorted(other for other, values in points.items()
+                              if dominates(points[name], values)))
+        frontier.append(ParetoPoint(name, points[name], beaten))
+    frontier.sort(key=lambda point: (point.values, point.name))
+    return frontier, points
 
 
 def format_frontier(frontier, points, metrics):

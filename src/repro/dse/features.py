@@ -16,7 +16,7 @@ ratios are taken from the job results in the caller's process.
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.engine import Job, engine_or_default, job_function
+from repro.engine import Job, job_function, run_jobs
 from repro.isa.extended import FULL_FEATURES
 from repro.kernels.kernel import Target
 from repro.kernels.suite import SUITE
@@ -92,12 +92,6 @@ def feature_point_jobs(names=None):
     }
 
 
-def _run_points(names):
-    jobs = feature_point_jobs(names)
-    results = engine_or_default().run(list(jobs.values()), stage="features")
-    return dict(zip(jobs, results))
-
-
 def sweep_reports(points):
     """(base_report, [FeatureReport]) from ``{point name:
     feature_point_job result}`` holding the base and every extension."""
@@ -150,9 +144,11 @@ def revised_report(points):
 def feature_sweep():
     """Run the Figure 9/10 sweep.  Returns (base_report, [FeatureReport])."""
     names = {"base"} | {feature for feature, _ in FEATURE_LABELS}
-    return sweep_reports(_run_points(names))
+    return sweep_reports(run_jobs(feature_point_jobs(names), "features"))
 
 
 def revised_isa_report():
     """The final revised operation set (Section 6.1) vs the base."""
-    return revised_report(_run_points({"base", "revised"}))
+    return revised_report(
+        run_jobs(feature_point_jobs({"base", "revised"}), "features")
+    )

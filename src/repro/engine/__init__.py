@@ -14,6 +14,9 @@ The engine is the execution substrate under the heavy experiment paths
   figure/table/DSE runs near-instant;
 - :mod:`~repro.engine.metrics` -- progress hooks and the data behind
   ``repro engine stats``.
+- :func:`run_jobs` -- one per-process memo of job results, keyed by
+  job key, over the default engine, so readers that share a job run
+  it once per process.
 
 Library call sites accept an ``engine=`` argument and fall back to the
 process-wide default configured here (serial, cache off -- the exact
@@ -65,7 +68,7 @@ __all__ = [
     "current_engine", "default_cache_dir", "engine_or_default",
     "function_identity", "job_cache_key", "job_function",
     "live_engines", "load_last_run", "progress_printer", "registered",
-    "reset", "retry_delay_s", "spawn_seeds",
+    "reset", "retry_delay_s", "run_jobs", "spawn_seeds",
 ]
 
 #: Process-wide default configuration.  Serial and cache-less by
@@ -113,3 +116,25 @@ def current_engine():
 def engine_or_default(engine=None):
     """Call-site helper: an explicit engine wins, else the default."""
     return engine if engine is not None else current_engine()
+
+
+#: Every result :func:`run_jobs` returned in this process, by job key.
+_RESULTS = {}
+
+
+def run_jobs(jobs, stage):
+    """``{name: result}`` for ``jobs`` (``{name: Job}``), on the default
+    engine.
+
+    Results are kept under each job's cache key, so a reader gets the
+    same result however it spells its arguments, and a job two readers
+    share runs once per process.  The jobs not kept yet run as one
+    engine run: computed when cold, read from the result cache when
+    warm."""
+    keys = {name: job_cache_key(job) for name, job in jobs.items()}
+    missing = {key: jobs[name] for name, key in keys.items()
+               if key not in _RESULTS}
+    if missing:
+        results = current_engine().run(list(missing.values()), stage=stage)
+        _RESULTS.update(zip(missing, results))
+    return {name: _RESULTS[key] for name, key in keys.items()}

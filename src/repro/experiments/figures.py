@@ -12,13 +12,11 @@ import numpy as np
 from repro.dse.designs import DSE_DESIGNS
 from repro.dse.evaluate import design_jobs
 from repro.dse.features import (
-    FEATURE_POINTS,
     feature_point_jobs,
-    revised_report,
-    sweep_reports,
+    feature_sweep,
+    revised_isa_report,
 )
-from repro.engine import Job, engine_or_default, job_function, spawn_seeds
-from repro.engine.cache import job_cache_key
+from repro.engine import Job, job_function, run_jobs, spawn_seeds
 from repro.experiments import paper_data
 from repro.experiments.tables import CORES, table6_counts_job
 from repro.fab.process import process_for
@@ -26,33 +24,8 @@ from repro.fab.yield_model import probed_wafer_job
 from repro.kernels import calculator
 from repro.kernels.kernel import Target
 from repro.kernels.suite import SUITE, get_kernel
-from repro.netlist.cores import build_flexicore4
+from repro.netlist.cores import core_netlist
 from repro.tech.power import FMAX_HZ, OperatingPoint, static_power_w
-
-
-# ----------------------------------------------------------------------
-# The report's engine jobs, run once per process.
-# ----------------------------------------------------------------------
-
-#: Every result :func:`run_jobs` returned in this process, by job key.
-_RESULTS = {}
-
-
-def run_jobs(jobs, stage):
-    """``{name: result}`` for ``jobs`` (``{name: Job}``).
-
-    Results are kept under each job's cache key, so a reader gets the
-    same result however it spells its arguments.  The jobs not kept yet
-    run as one engine run: computed when cold, read from the result
-    cache when warm."""
-    keys = {name: job_cache_key(job) for name, job in jobs.items()}
-    missing = {key: jobs[name] for name, key in keys.items()
-               if key not in _RESULTS}
-    if missing:
-        results = engine_or_default().run(list(missing.values()),
-                                          stage=stage)
-        _RESULTS.update(zip(missing, results))
-    return {name: _RESULTS[key] for name, key in keys.items()}
 
 
 # ----------------------------------------------------------------------
@@ -236,14 +209,17 @@ def kernel_study_jobs(seed=8):
 
 def kernel_studies(seed=8):
     """The results of :func:`kernel_study_jobs`, through
-    :func:`run_jobs`.  Figures 8-10 and Table 6 read them."""
+    :func:`run_jobs`.  Figure 8 and Table 6 read them; Figures 9 and 10
+    read the same design-point jobs through
+    :func:`~repro.dse.features.feature_sweep` and
+    :func:`~repro.dse.features.revised_isa_report`."""
     return run_jobs(kernel_study_jobs(seed), stage="kernels")
 
 
 @lru_cache(maxsize=None)
 def figure8(seed=8):
     """Latency (ms) and energy (uJ) per kernel transaction on FlexiCore4."""
-    power = static_power_w(build_flexicore4().pullups,
+    power = static_power_w(core_netlist("flexicore4").pullups,
                            OperatingPoint(vdd=4.5))
     nj_per_instruction = power / FMAX_HZ * 1e9
     studies = kernel_studies(seed)
@@ -283,23 +259,10 @@ def format_figure8():
 # Figures 9 and 10: ISA-extension sweep.
 # ----------------------------------------------------------------------
 
-def _feature_points():
-    studies = kernel_studies()
-    return {name: studies["feature", name] for name, _, _ in FEATURE_POINTS}
-
-
-def _sweep():
-    return sweep_reports(_feature_points())
-
-
-def _revised():
-    return revised_report(_feature_points())
-
-
 def figure9():
     """Core area / cell count / suite code size per extension."""
-    base, reports = _sweep()
-    revised = _revised()
+    base, reports = feature_sweep()
+    revised = revised_isa_report()
     return {
         "features": [
             {
@@ -338,8 +301,8 @@ def format_figure9():
 
 def figure10():
     """Per-benchmark code size under each extension, vs the base ISA."""
-    _, reports = _sweep()
-    revised = _revised()
+    _, reports = feature_sweep()
+    revised = revised_isa_report()
     return {
         "by_feature": {
             report.feature: report.code_ratio_by_kernel

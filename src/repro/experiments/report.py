@@ -170,15 +170,16 @@ def generate(path=None):
     """Render the full EXPERIMENTS.md document; optionally write it.
 
     Every engine job the sections read runs first, as one batch; the
-    sections then read the results from :func:`figures.run_jobs`."""
+    sections then read the results from :func:`repro.engine.run_jobs`."""
     from repro.dse.evaluate import design_jobs
+    from repro.engine import run_jobs
 
     builders = (tables.yield_jobs(), figures.wafer_jobs(),
                 figures.kernel_study_jobs(), design_jobs(),
                 design_jobs(bus_bits=8))
-    figures.run_jobs({(index, name): job
-                      for index, jobs in enumerate(builders)
-                      for name, job in jobs.items()}, stage="report")
+    run_jobs({(index, name): job
+              for index, jobs in enumerate(builders)
+              for name, job in jobs.items()}, stage="report")
     parts = [
         "# EXPERIMENTS -- paper vs measured",
         "",

@@ -4,16 +4,13 @@ Each ``tableN()`` returns structured data; each ``format_tableN()``
 renders the same rows the paper prints.
 """
 
-from functools import lru_cache
-
-from repro.engine import job_function, spawn_seeds
+from repro.engine import job_function, run_jobs, spawn_seeds
 from repro.experiments import paper_data
 from repro.fab.process import process_for
 from repro.fab.yield_model import merge_buckets, wafer_yield_jobs
 from repro.kernels.kernel import Target
 from repro.kernels.suite import SUITE
-from repro.netlist.cores import build_flexicore4, build_flexicore8
-from repro.netlist.dse_cores import build_extended_core
+from repro.netlist.cores import core_netlist
 from repro.tech.power import OperatingPoint, static_power_w
 
 def table1():
@@ -35,7 +32,7 @@ def table1():
         "XorShift8": rows["XorShift8"]["instructions"],
     }
     power = static_power_w(
-        _netlists()["flexicore4"].pullups, OperatingPoint(vdd=4.5)
+        core_netlist("flexicore4").pullups, OperatingPoint(vdd=4.5)
     )
     return assess_all(kernel_costs, power)
 
@@ -71,12 +68,6 @@ _MODULE_NAMES = {
 }
 
 
-@lru_cache(maxsize=None)
-def _netlists():
-    return {"flexicore4": build_flexicore4(),
-            "flexicore8": build_flexicore8()}
-
-
 def _module_table(netlist):
     """Rows of Table 2/3 for one core."""
     breakdown = netlist.module_breakdown()
@@ -105,12 +96,12 @@ def _module_table(netlist):
 
 def table2():
     """FlexiCore4 module area/power breakdown."""
-    return _module_table(_netlists()["flexicore4"])
+    return _module_table(core_netlist("flexicore4"))
 
 
 def table3():
     """FlexiCore8 module area/power breakdown."""
-    return _module_table(_netlists()["flexicore8"])
+    return _module_table(core_netlist("flexicore8"))
 
 
 def _format_module_table(rows, paper_area, paper_power, title):
@@ -167,8 +158,6 @@ def yield_summaries(wafers=6, seed=2022):
     """``{core display name: Table 5 summary}``: the
     :func:`yield_jobs` results, each core's wafers folded in wafer
     order, so the summaries are identical at any worker count."""
-    from repro.experiments.figures import run_jobs
-
     results = run_jobs(yield_jobs(wafers, seed), stage="yield")
     return {
         name: merge_buckets(
@@ -180,10 +169,9 @@ def yield_summaries(wafers=6, seed=2022):
 
 def table4():
     """Comparison of the FlexiCores (Table 4)."""
-    nl4 = _netlists()["flexicore4"]
-    nl8 = _netlists()["flexicore8"]
-    nl4p = build_extended_core(frozenset({"shift", "flags"}),
-                               name="flexicore4plus")
+    nl4 = core_netlist("flexicore4")
+    nl8 = core_netlist("flexicore8")
+    nl4p = core_netlist("flexicore4plus")
     summaries = yield_summaries()
     # Measured mean power = mean functional current x supply.
     p4 = summaries["FlexiCore4"][4.5]["mean_current_ma"] * 4.5
@@ -318,7 +306,7 @@ def format_table6():
 def table7():
     """Comparison to other flexible ICs (Table 7): our measured row plus
     the literature rows the paper quotes."""
-    nl4 = _netlists()["flexicore4"]
+    nl4 = core_netlist("flexicore4")
     summaries = yield_summaries()
     power_mw = summaries["FlexiCore4"][4.5]["mean_current_ma"] * 4.5
     this_work = {

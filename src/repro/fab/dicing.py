@@ -46,10 +46,6 @@ class DicingAnalysis:
         return 1.0 - self.die_side_mm / self.pitch_mm
 
     @property
-    def area_waste_fraction(self):
-        return 1.0 - self.area_utilization
-
-    @property
     def dies_per_300mm_wafer(self):
         wafer_area = math.pi * (SILICON_WAFER_DIAMETER_MM / 2) ** 2
         return int(wafer_area * 0.95 / self.pitch_mm ** 2)

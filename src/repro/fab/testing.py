@@ -17,7 +17,6 @@ Campaigns run one fault per simulation lane of a
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List
 
 import numpy as np
@@ -26,6 +25,7 @@ from repro import obs
 from repro.asm import assemble
 from repro.engine import job_function
 from repro.netlist.backend import resolve_backend
+from repro.netlist.cores import core_netlist
 from repro.netlist.verify import run_cross_check, run_cross_check_batch
 
 
@@ -186,15 +186,6 @@ def toggle_coverage_study(netlist, isa, rng, instructions=2000):
     return result
 
 
-@lru_cache(maxsize=None)
-def _core_for_testing(core):
-    """Per-process memo of a named core's netlist (pool workers build
-    each core at most once)."""
-    from repro.netlist.cores import build_core
-
-    return build_core(core)
-
-
 @job_function("fab.fault_study", version="2")
 def fault_study_job(params, seed):
     """Engine job: one fault-injection campaign on a registered core.
@@ -206,7 +197,7 @@ def fault_study_job(params, seed):
     """
     from repro.isa import get_isa
 
-    netlist = _core_for_testing(params["core"])
+    netlist = core_netlist(params["core"])
     study = fault_injection_study(
         netlist, get_isa(params["isa"]), seed.rng(),
         faults=params["faults"],

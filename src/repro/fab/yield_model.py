@@ -23,7 +23,6 @@ every die replayable bit-for-bit against the interpreted reference.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
@@ -34,6 +33,7 @@ from repro.fab.process import WaferProcess
 from repro.fab.testing import fault_study_job
 from repro.fab.wafer import Wafer
 from repro.netlist.backend import resolve_backend
+from repro.netlist.cores import CORE_BUILDERS, core_netlist, core_timing
 from repro.netlist.verify import run_cross_check_batch
 from repro.tech import tft
 from repro.tech.power import FMAX_HZ, OperatingPoint, static_power_w
@@ -314,17 +314,6 @@ def merge_buckets(per_wafer, voltages):
     return summary
 
 
-@lru_cache(maxsize=None)
-def _core_static(core):
-    """Per-process memo of a named core's netlist and timing report, so
-    pool workers build each core at most once."""
-    from repro.netlist.cores import build_core
-    from repro.netlist.sta import analyze
-
-    netlist = build_core(core)
-    return netlist, analyze(netlist)
-
-
 @job_function("fab.wafer_yield", version="2")
 def wafer_yield_job(params, seed):
     """Engine job: fabricate one wafer of ``params['core']`` and probe
@@ -336,7 +325,8 @@ def wafer_yield_job(params, seed):
     sweep can never mix the two draw orders.
     """
     with obs.span("fab.wafer_yield", core=params["core"]):
-        netlist, report = _core_static(params["core"])
+        netlist = core_netlist(params["core"])
+        report = core_timing(params["core"])
         rng = seed.rng()
         with obs.span("fab.fabricate", core=params["core"]):
             fabricated = fabricate_wafer(
@@ -359,7 +349,8 @@ def probed_wafer_job(params, seed):
     Version 2: field-batched Monte Carlo draws (see
     :func:`wafer_yield_job`)."""
     with obs.span("fab.probed_wafer", core=params["core"]):
-        netlist, report = _core_static(params["core"])
+        netlist = core_netlist(params["core"])
+        report = core_timing(params["core"])
         rng = seed.rng()
         with obs.span("fab.fabricate", core=params["core"]):
             fabricated = fabricate_wafer(
@@ -536,7 +527,8 @@ def gate_yield_campaign_job(params, seed):
     first, stop = params["wafers"]
     with obs.span("fab.gate_yield_campaign", core=params["core"],
                   wafers=stop - first):
-        netlist, report = _core_static(params["core"])
+        netlist = core_netlist(params["core"])
+        report = core_timing(params["core"])
         wafers = []
         for child in seed.spawn(stop)[first:]:
             rng = child.rng()
@@ -682,8 +674,6 @@ def run_yield_study(netlist, process, *, seed, wafers=5,
     ``netlist.name``).
     """
     core = core or getattr(netlist, "name", None)
-    from repro.netlist.cores import CORE_BUILDERS
-
     if core not in CORE_BUILDERS:
         raise ValueError(
             f"a yield study needs a registered core name (one of "

@@ -3,8 +3,9 @@
 This package defines, as data plus small semantic functions, every ISA the
 paper fabricates or explores:
 
-- :mod:`repro.isa.flexicore4` -- the 4-bit base ISA of Figure 2a.
-- :mod:`repro.isa.flexicore8` -- the 8-bit base ISA of Figure 2b.
+- :mod:`repro.isa.flexicore4` -- the fabricated base ISAs: FlexiCore4
+  (Figure 2a) and FlexiCore8 (Figure 2b), one class whose 8-bit subclass
+  sets the datapath width, the memory size and LOAD BYTE.
 - :mod:`repro.isa.extended`   -- the feature-gated extended accumulator ISA
   of Section 6.1 (FlexiCore4+ and the "revised" operation set).
 - :mod:`repro.isa.loadstore`  -- the two-operand load-store ISA of

@@ -66,11 +66,6 @@ def reverse_bits(value, width):
     return result
 
 
-def to_signed(value, width):
-    """Alias of :func:`sign_extend` for readability at call sites."""
-    return sign_extend(value, width)
-
-
 def add_with_carry(a, b, carry_in, width):
     """Add two ``width``-bit values plus a carry, returning (sum, carry_out).
 

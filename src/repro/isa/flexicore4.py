@@ -1,6 +1,7 @@
-"""FlexiCore4: the fabricated 4-bit base ISA (Figure 2a).
+"""FlexiCore4 and FlexiCore8: the fabricated base ISAs (Figure 2).
 
-Nine instructions over four formats, all one byte wide:
+FlexiCore4 (Figure 2a) has nine instructions over four formats, all one
+byte wide:
 
 ========  ==================  =========================================
 Format    Encoding            Semantics
@@ -19,6 +20,27 @@ and 1 are the memory-mapped IPORT and OPORT.
 The state is a 4-bit accumulator, a 7-bit PC and eight 4-bit memory words;
 there is no architected carry flag, no stack, and no other register --
 which is exactly why the fabricated core needs only 336 gates.
+
+FlexiCore8 (Figure 2b) is the same ISA widened to an 8-bit datapath, with
+two differences driven by the <800-NAND2 area budget:
+
+- the data memory is halved to four octets, so memory addresses are two
+  bits and the third address bit of the M- and T-Types is reserved, and
+- a two-byte LOAD BYTE instruction (opcode byte ``0000_1000``) loads a
+  full 8-bit immediate, because the I-Type's 4-bit immediate can no longer
+  materialize every constant.
+
+LOAD BYTE is the only stateful part of the decoder: recognizing the opcode
+sets a 'load byte' flag indicating the next fetched byte is data, not an
+instruction (Section 3.4) -- the single flip-flop of FlexiCore8's
+controller.  I-Type immediates are sign-extended to 8 bits (the hardware
+simply wires bit 3 across the upper nibble), which preserves the base
+ISA's ``addi -3`` and ``nandi 0`` idioms.
+
+Both are one class: :class:`FlexiCore8` sets the three parameters the
+netlist builder takes (datapath width, memory words, LOAD BYTE), and the
+address mask, the decode holes, the immediate's sign extension and LOAD
+BYTE follow from them.
 """
 
 from repro.isa import bits
@@ -41,6 +63,12 @@ OP_XOR = 0b10
 OP_TRANSFER = 0b11  # T-Type escape in the I-Type space
 
 _ALU_OPS = {OP_ADD: "add", OP_NAND: "nand", OP_XOR: "xor"}
+
+#: Width of the I-Type immediate field.
+IMM_BITS = 4
+
+#: The LOAD BYTE opcode byte of Figure 2b.
+LOAD_BYTE_OPCODE = 0b0000_1000
 
 
 def alu_result(op, a, b, width):
@@ -68,15 +96,37 @@ class FlexiCore4(ISA):
     pc_bits = 7
     fetch_bits = 8
     accumulator = True
+    #: Whether the decoder has FlexiCore8's two-byte LOAD BYTE.
+    load_byte = False
+
+    def __init__(self):
+        # Computed once, since decode runs on every simulated step: the
+        # data-address bits, and the reserved bits of the T-Type (address
+        # bits above the memory) and of the M-Type (those and bit 3).
+        self._addr_mask = self.mem_words - 1
+        self._ttype_holes = 0b111 & ~self._addr_mask
+        self._mtype_holes = 0b1000 | self._ttype_holes
+        super().__init__()
 
     # -- instruction definitions -----------------------------------------
 
     def _define_instructions(self):
         width = self.word_bits
+        addr_mask = self._addr_mask
 
         def make_imm_exec(op):
             def execute(state, operands):
                 imm = bits.truncate(operands[0], width)
+                result, _ = alu_result(op, state.acc, imm, width)
+                state.set_acc(result)
+                state.advance_pc(1)
+            return execute
+
+        def make_sext_imm_exec(op):
+            def execute(state, operands):
+                imm = bits.truncate(
+                    bits.sign_extend(operands[0], IMM_BITS), width
+                )
                 result, _ = alu_result(op, state.acc, imm, width)
                 state.set_acc(result)
                 state.advance_pc(1)
@@ -90,15 +140,19 @@ class FlexiCore4(ISA):
                 state.advance_pc(1)
             return execute
 
+        if width > IMM_BITS:
+            imm_exec, imm_text = make_sext_imm_exec, "sext(imm4)"
+        else:
+            imm_exec, imm_text = make_imm_exec, "imm4"
         for op, base in _ALU_OPS.items():
             self._add(InstructionSpec(
                 mnemonic=base + "i",
-                operands=(imm_operand(width=width),),
+                operands=(imm_operand(width=IMM_BITS),),
                 size=1,
                 encode_fn=self._make_imm_encoder(op),
-                execute_fn=make_imm_exec(op),
+                execute_fn=imm_exec(op),
                 iclass=InstrClass.ALU,
-                description=f"acc <- acc {base} imm{width}",
+                description=f"acc <- acc {base} {imm_text}",
             ))
             self._add(InstructionSpec(
                 mnemonic=base,
@@ -122,7 +176,7 @@ class FlexiCore4(ISA):
             mnemonic="load",
             operands=(memaddr_operand(self.mem_words),),
             size=1,
-            encode_fn=lambda ops: bytes([0b0111_0000 | (ops[0] & 0b111)]),
+            encode_fn=lambda ops: bytes([0b0111_0000 | (ops[0] & addr_mask)]),
             execute_fn=exec_load,
             iclass=InstrClass.MEMORY,
             description="acc <- mem[addr] (addr 0 reads IPORT)",
@@ -131,7 +185,7 @@ class FlexiCore4(ISA):
             mnemonic="store",
             operands=(memaddr_operand(self.mem_words),),
             size=1,
-            encode_fn=lambda ops: bytes([0b0111_1000 | (ops[0] & 0b111)]),
+            encode_fn=lambda ops: bytes([0b0111_1000 | (ops[0] & addr_mask)]),
             execute_fn=exec_store,
             iclass=InstrClass.MEMORY,
             description="mem[addr] <- acc (addr 1 drives OPORT)",
@@ -152,16 +206,42 @@ class FlexiCore4(ISA):
             iclass=InstrClass.BRANCH,
             description="if acc MSB: PC <- target",
         ))
+        if not self.load_byte:
+            return
+
+        def exec_ldb(state, operands):
+            # The decoder flag is architecturally visible for exactly one
+            # cycle; the functional model folds both cycles into one step.
+            state.load_byte_pending = True
+            state.set_acc(operands[0])
+            state.load_byte_pending = False
+            state.advance_pc(2)
+
+        self._add(InstructionSpec(
+            mnemonic="ldb",
+            operands=(imm_operand(name=f"imm{width}", width=width,
+                                  signed=True),),
+            size=2,
+            encode_fn=lambda ops: bytes(
+                [LOAD_BYTE_OPCODE, bits.truncate(ops[0], width)]
+            ),
+            execute_fn=exec_ldb,
+            iclass=InstrClass.ALU,
+            feature=None,
+            description="acc <- imm8 (two-byte LOAD BYTE, Figure 2b)",
+        ))
 
     def _make_imm_encoder(self, op):
         def encode(operands):
-            imm = bits.truncate(operands[0], self.word_bits)
+            imm = bits.truncate(operands[0], IMM_BITS)
             return bytes([0b0100_0000 | (op << 4) | imm])
         return encode
 
     def _make_mem_encoder(self, op):
+        addr_mask = self._addr_mask
+
         def encode(operands):
-            return bytes([(op << 4) | (operands[0] & 0b111)])
+            return bytes([(op << 4) | (operands[0] & addr_mask)])
         return encode
 
     # -- decoding ---------------------------------------------------------
@@ -172,17 +252,35 @@ class FlexiCore4(ISA):
         if byte & 0x80:  # Branch
             spec, ops = self.specs["brn"], (byte & 0x7F,)
         elif byte & 0x40:  # I-Type / T-Type
-            op = bits.get_field(byte, 5, 4)
-            if op == OP_TRANSFER:
-                mnem = "store" if bits.bit(byte, 3) else "load"
-                spec, ops = self.specs[mnem], (byte & 0b111,)
-            else:
+            op = (byte >> 4) & 0b11
+            if op != OP_TRANSFER:
                 spec, ops = self.specs[_ALU_OPS[op] + "i"], (byte & 0x0F,)
+            elif byte & self._ttype_holes:
+                raise self._undefined(byte)
+            else:
+                mnem = "store" if byte & 0b1000 else "load"
+                spec, ops = self.specs[mnem], (byte & self._addr_mask,)
         else:  # M-Type
-            op = bits.get_field(byte, 5, 4)
-            if op == OP_TRANSFER or bits.bit(byte, 3):
-                raise DecodeError(
-                    f"{self.name}: undefined opcode byte {byte:#04x}"
-                )
-            spec, ops = self.specs[_ALU_OPS[op]], (byte & 0b111,)
+            op = (byte >> 4) & 0b11
+            if op == OP_TRANSFER or byte & self._mtype_holes:
+                if self.load_byte and byte == LOAD_BYTE_OPCODE:
+                    raw = decode_helper(code, offset, 2, self.name)
+                    return DecodedInstruction(
+                        spec=self.specs["ldb"], operands=(raw[1],),
+                        address=offset, raw=raw,
+                    )
+                raise self._undefined(byte)
+            spec, ops = self.specs[_ALU_OPS[op]], (byte & self._addr_mask,)
         return DecodedInstruction(spec=spec, operands=ops, address=offset, raw=raw)
+
+    def _undefined(self, byte):
+        return DecodeError(f"{self.name}: undefined opcode byte {byte:#04x}")
+
+
+class FlexiCore8(FlexiCore4):
+    """The fabricated 8-bit FlexiCore ISA."""
+
+    name = "flexicore8"
+    word_bits = 8
+    mem_words = 4
+    load_byte = True

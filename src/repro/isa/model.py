@@ -228,10 +228,6 @@ class ISA:
             pc_bits=self.pc_bits,
         )
 
-    def instruction_bits(self, mnemonic):
-        """Size of one instruction in bits, for code-size studies."""
-        return self.spec(mnemonic).size * 8
-
     def __repr__(self):
         return f"<ISA {self.name}: {len(self.specs)} instructions>"
 

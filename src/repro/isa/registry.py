@@ -15,8 +15,7 @@ from repro.isa.extended import (
     FULL_FEATURES,
     ExtendedAccumulator,
 )
-from repro.isa.flexicore4 import FlexiCore4
-from repro.isa.flexicore8 import FlexiCore8
+from repro.isa.flexicore4 import FlexiCore4, FlexiCore8
 from repro.isa.loadstore import LoadStore
 
 _CACHE = {}

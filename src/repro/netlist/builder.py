@@ -175,9 +175,6 @@ class NetlistBuilder:
             outputs.append(self.and_tree(terms))
         return outputs
 
-    def half_adder(self, a, b):
-        return self.xor(a, b), self.and_(a, b)
-
     def full_adder(self, a, b, c):
         """Full adder exposing the Figure 3b side effects.
 

@@ -21,7 +21,12 @@ muxes the instruction's low seven bits in when ``instr7 & acc_msb``.
 
 FlexiCore8 adds the single controller flip-flop of Section 3.4: the LOAD
 BYTE opcode sets a flag marking the next fetched byte as data.
+
+A process builds each fabricated core once: :func:`core_netlist` and
+:func:`core_timing` hold every reader's netlist and timing report.
 """
+
+from functools import lru_cache
 
 from repro.netlist.builder import NetlistBuilder
 
@@ -215,3 +220,19 @@ def build_core(name):
         raise KeyError(
             f"unknown core {name!r}; choose from {sorted(CORE_BUILDERS)}"
         ) from None
+
+
+@lru_cache(maxsize=None)
+def core_netlist(name):
+    """The registered core ``name``'s netlist, built once per process
+    and shared by every reader (none mutates it)."""
+    return build_core(name)
+
+
+@lru_cache(maxsize=None)
+def core_timing(name):
+    """The static timing report of :func:`core_netlist`, once per
+    process."""
+    from repro.netlist.sta import analyze
+
+    return analyze(core_netlist(name))

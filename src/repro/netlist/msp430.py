@@ -64,9 +64,9 @@ def estimate_msp430(vdd=4.5):
 
 def section35_comparison():
     """The Section 3.5 ratios: MSP430 vs FlexiCore4 in the same process."""
-    from repro.netlist.cores import build_flexicore4
+    from repro.netlist.cores import core_netlist
 
-    fc4 = build_flexicore4()
+    fc4 = core_netlist("flexicore4")
     msp = estimate_msp430()
     fc4_power_mw = static_power_w(
         fc4.pullups, OperatingPoint(vdd=4.5)

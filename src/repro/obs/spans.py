@@ -169,13 +169,6 @@ def add_span_sink(callback):
         _sinks.append(callback)
 
 
-def remove_span_sink(callback):
-    try:
-        _sinks.remove(callback)
-    except ValueError:
-        pass
-
-
 def trace_context():
     """(trace_id, parent span id) to ship to a worker, or None."""
     if not _TRACING:

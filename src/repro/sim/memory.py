@@ -48,10 +48,6 @@ class ProgramMemory:
             ])
         return windows
 
-    @classmethod
-    def from_program(cls, program, mmu=None):
-        return cls(program.image(), mmu)
-
     @property
     def image(self):
         return self._image

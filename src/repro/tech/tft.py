@@ -90,8 +90,3 @@ def static_current_factor(vdd):
 def sample_speed_factor(rng, size=None):
     """Per-die speed multiplier (>1 means slower than typical)."""
     return np.exp(rng.normal(0.0, SPEED_SIGMA, size=size))
-
-
-def sample_current_factor(rng, size=None, sigma=CURRENT_SIGMA):
-    """Per-die static-current multiplier."""
-    return np.exp(rng.normal(0.0, sigma, size=size))

@@ -87,6 +87,11 @@ class TestHardwareCommands:
         assert main(["verilog", "flexicore8", "-o", str(output)]) == 0
         assert "module flexicore8" in output.read_text()
 
+    def test_verilog_exports_flexicore4plus(self, capsys):
+        # The names are the registered cores', as for `repro floorplan`.
+        assert main(["verilog", "flexicore4plus"]) == 0
+        assert "module flexicore4plus (" in capsys.readouterr().out
+
     def test_verilog_unknown_core(self, capsys):
         assert main(["verilog", "pentium"]) == 2
 

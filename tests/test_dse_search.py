@@ -3,15 +3,12 @@ and the Pareto/explorer bugfix sweep."""
 
 import json
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.dse.explorer import (
-    explore,
-    format_frontier,
-    pareto_frontier,
-)
+from repro.dse.explorer import explore, format_frontier, pareto
 from repro.dse.search import (
     SearchConfig,
     crowding_distance,
@@ -32,36 +29,63 @@ TINY = DesignSpace(operand_models=("acc", "ls"), microarchs=("SC",),
 
 
 # ----------------------------------------------------------------------
-# Satellite: pareto_frontier edge cases.
+# Satellite: Pareto frontier edge cases.
 # ----------------------------------------------------------------------
+
+class _Design:
+    """A stand-in for a design's metrics whose area, energy and latency
+    relative to a unit baseline are ``values``."""
+
+    def __init__(self, values, feasible=True):
+        self.nand2_area = values[0]
+        self._relative = dict(zip(("energy_j", "time_s"), values[1:]))
+        self.kernels = {"kernel": SimpleNamespace(feasible=feasible)}
+
+    def mean_relative(self, base, field):
+        return self._relative[field]
+
+
+def pareto_over(points):
+    """:func:`pareto`'s frontier over ``{name: values}``.  The unit
+    baseline is infeasible, so only ``points`` are ranked."""
+    results = {"unit": _Design((1.0, 1.0, 1.0), feasible=False)}
+    results.update((name, _Design(values))
+                   for name, values in points.items())
+    width = len(next(iter(points.values()), ()))
+    frontier, ranked = pareto(results, ("area", "energy", "latency")[:width],
+                              baseline="unit")
+    assert ranked == points
+    return frontier
+
 
 class TestParetoFrontierEdges:
     def test_duplicate_value_tuples_both_survive(self):
         points = {"a": (1.0, 2.0), "b": (1.0, 2.0), "c": (3.0, 3.0)}
-        names = {p.name for p in pareto_frontier(points)}
-        assert names == {"a", "b"}
+        frontier = pareto_over(points)
+        assert {p.name for p in frontier} == {"a", "b"}
+        assert [p.dominates for p in frontier] == [("c",), ("c",)]
 
     def test_single_point_space(self):
-        frontier = pareto_frontier({"only": (1.0, 1.0)})
+        frontier = pareto_over({"only": (1.0, 1.0)})
         assert [p.name for p in frontier] == ["only"]
         assert frontier[0].dominates == ()
 
     def test_empty_points(self):
-        assert pareto_frontier({}) == []
+        assert pareto_over({}) == []
 
     def test_deterministic_under_shuffled_input_order(self):
         rng = random.Random(7)
         points = {f"d{i}": (float(i % 4), float((7 - i) % 5), float(i))
                   for i in range(12)}
-        reference = pareto_frontier(points)
+        reference = pareto_over(points)
         for _ in range(5):
             items = list(points.items())
             rng.shuffle(items)
-            assert pareto_frontier(dict(items)) == reference
+            assert pareto_over(dict(items)) == reference
 
     def test_first_metric_ties_order_by_name(self):
         points = {"bbb": (1.0, 2.0), "aaa": (1.0, 2.0)}
-        assert [p.name for p in pareto_frontier(points)] == ["aaa", "bbb"]
+        assert [p.name for p in pareto_over(points)] == ["aaa", "bbb"]
 
     def test_dominates_requires_strict_improvement(self):
         assert not dominates((1.0, 2.0), (1.0, 2.0))
@@ -105,7 +129,7 @@ class TestExplorerFixes:
             "a-very-long-design-name": (1.0, 2.0),
             "short": (2.0, 1.0),
         }
-        frontier = pareto_frontier(points)
+        frontier = pareto_over(points)
         text = format_frontier(frontier, points, ("area", "energy"))
         header, *rows, _legend = text.splitlines()
         first_col = header.index("area") + len("area")

@@ -207,11 +207,12 @@ class TestTableFigureConsistency:
     def test_yield_summaries_match_direct_study(self):
         """tables.yield_summaries must agree with calling
         run_yield_study directly under the same spawned seeds."""
-        from repro.experiments.tables import _netlists, yield_summaries
+        from repro.experiments.tables import yield_summaries
+        from repro.netlist.cores import core_netlist
 
         fc4_seed, _ = spawn_seeds(2022, 2)
         direct = run_yield_study(
-            _netlists()["flexicore4"], FC4_WAFER, wafers=6,
+            core_netlist("flexicore4"), FC4_WAFER, wafers=6,
             seed=fc4_seed, engine=Engine(jobs=2),
         )
         assert yield_summaries()["FlexiCore4"] == direct

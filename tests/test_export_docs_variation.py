@@ -2,6 +2,7 @@
 analysis of Section 4.2."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +88,13 @@ class TestIsaReference:
     def test_all_references(self):
         text = all_references()
         assert "flexicore8" in text and "loadstore" in text
+
+    def test_committed_reference_is_generated(self):
+        # docs/ISA_REFERENCE.md's fenced block is all_references()'s
+        # output, so an ISA edit that changes it must regenerate it.
+        doc = Path(__file__).resolve().parents[1] / "docs" / "ISA_REFERENCE.md"
+        _, block, _ = doc.read_text().split("```\n")
+        assert block == all_references() + "\n"
 
 
 class TestUsageVariation:

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.isa import DecodeError, OperandRangeError, get_isa
-from repro.isa.flexicore8 import LOAD_BYTE_OPCODE
+from repro.isa.flexicore4 import LOAD_BYTE_OPCODE
 
 ISA = get_isa("flexicore8")
 
@@ -100,3 +100,36 @@ class TestSemantics:
     def test_undefined_mtype_hole_raises(self):
         with pytest.raises(DecodeError):
             ISA.decode(bytes([0b0000_0100]))  # M-type with bit2 set
+
+
+class TestDecode:
+    def test_exhaustive_byte_space(self):
+        """Every byte decodes and re-encodes to itself, is LOAD BYTE over
+        the next byte, or is a documented hole: an M-Type byte with
+        op=11 or bit 3 or 2 set, or a T-Type byte with bit 2 set (the
+        address bit the four-word memory does not have)."""
+        def documented_hole(byte):
+            if byte & 0xC0 == 0:  # M-Type
+                return bool(byte & 0b1100) or (byte >> 4) & 0b11 == 0b11
+            return byte & 0xF0 == 0b0111_0000 and bool(byte & 0b100)
+
+        holes = set()
+        for byte in range(256):
+            try:
+                decoded = ISA.decode(bytes([byte, 0xA5]))
+            except DecodeError:
+                holes.add(byte)
+                continue
+            if byte == LOAD_BYTE_OPCODE:
+                assert decoded.mnemonic == "ldb"
+                assert decoded.operands == (0xA5,)
+                assert decoded.raw == bytes([byte, 0xA5])
+            else:
+                assert decoded.size == 1
+                assert decoded.spec.encode(decoded.operands) == bytes([byte])
+        assert holes == {byte for byte in range(256)
+                         if documented_hole(byte)} - {LOAD_BYTE_OPCODE}
+
+    def test_truncated_load_byte_raises(self):
+        with pytest.raises(DecodeError, match="truncated"):
+            ISA.decode(bytes([LOAD_BYTE_OPCODE]))

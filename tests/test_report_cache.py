@@ -66,6 +66,44 @@ def test_warm_report_assembles_and_simulates_nothing(
     assert (counts["assemble"], counts["run"]) == (0, 0)
 
 
+#: Runs ``generate()`` against the cache in argv[1], counting the
+#: netlists built in its process by name, and prints the counts as JSON.
+_COUNTING_BUILDS = """
+import json, sys
+from collections import Counter
+from repro import engine
+from repro.netlist.builder import NetlistBuilder
+
+built = Counter()
+original = NetlistBuilder.build
+
+def build(self):
+    netlist = original(self)
+    built[netlist.name] += 1
+    return netlist
+
+NetlistBuilder.build = build
+eng = engine.configure(jobs=2, cache=sys.argv[1])
+from repro.experiments.report import generate
+generate()
+eng.close()
+print(json.dumps(built))
+"""
+
+
+def test_warm_report_builds_each_fabricated_core_once(
+        cold_report, repro_python, tmp_path):
+    # Tables 1-4 and 7, Figure 8 and Section 3.5 share one netlist per
+    # core (repro.netlist.cores.core_netlist).
+    completed = repro_python(
+        ["-c", _COUNTING_BUILDS, str(cold_report)], cwd=tmp_path,
+        cache=cold_report, state=tmp_path / "state",
+    )
+    assert json.loads(completed.stdout) == {
+        "flexicore4": 1, "flexicore8": 1, "flexicore4plus": 1,
+    }
+
+
 @pytest.fixture
 def default_engine(monkeypatch):
     """``configure(**options)`` for this test alone: the process-wide
@@ -74,11 +112,11 @@ def default_engine(monkeypatch):
     monkeypatch.setattr(engine_module, "_config",
                         dict(engine_module._DEFAULTS))
     monkeypatch.setattr(engine_module, "_default_engine", None)
-    monkeypatch.setattr(figures, "_RESULTS", {})
+    monkeypatch.setattr(engine_module, "_RESULTS", {})
     configured = []
 
     def configure(**options):
-        figures._RESULTS.clear()
+        engine_module._RESULTS.clear()
         figures.figure8.cache_clear()
         configured.append(engine_module.configure(**options))
         return configured[-1]
@@ -145,11 +183,12 @@ def test_cached_parallel_equals_serial(default_engine, tmp_path):
     serial = _readers()
     cold_engine = default_engine(jobs=2, cache=str(tmp_path))
     cold = _readers()
-    # Hits: revised_isa_report's base point, then the kernel run's ten
-    # design points; everything else was computed.
-    assert cold_engine.metrics.cache_hits == 1 + 10
+    # Each job runs once per process: revised_isa_report reads the
+    # sweep's base point, and the kernel run its ten design points, from
+    # the memo, so the cold engine computes everything it is asked for.
+    assert cold_engine.metrics.cache_hits == 0
     warm_engine = default_engine(jobs=2, cache=str(tmp_path))
     warm = _readers()
     assert warm_engine.metrics.cache_misses == 0
-    assert warm_engine.metrics.cache_hits == 9 + 2 + 19
+    assert warm_engine.metrics.cache_hits == 9 + 1 + 9
     assert serial == cold == warm
